@@ -27,7 +27,6 @@ from .contour import (
     classify_region,
     contour_distance,
     contour_path,
-    eval_contour_integral,
     ml_contour,
     ml_contour_deriv,
     recip_gamma_via_contour,

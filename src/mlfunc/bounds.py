@@ -431,40 +431,11 @@ def _t_grid(t0: float, t_max_factor: float, n_points: int) -> np.ndarray:
     return np.geomspace(t0, t_max_factor * t0, n_points)
 
 
-def _certify_remainder(name: str, ctx: SectorContext, beta: complex,
-                       t_weight: float, allowed_power: float,
-                       n_points: int, t_max_factor: float,
-                       controls: QuadratureControls | None,
-                       constant_scale: float, err_inflate: float,
-                       harmonized: bool) -> CertificateReport:
-    """Shared core of certificates (i) and (ii).
-
-    The measured quantity is t**t_weight * |I(z)| with I the path integral
-    remainder at z = lambda t^alpha in G+, compared against
-    constant_scale * m / t**allowed_power.
-    """
-    _require_side(ctx, "interior", name)
-    controls = controls or _CERT_QUAD
-    consts = lemma2_constants(ctx, controls)
+def _lemma2_envelope(consts: Lemma2Constants, harmonized: bool,
+                     constant_scale: float) -> tuple[float, dict]:
+    """The constant m a Lemma 2 certificate compares against, and the
+    constants its report carries."""
     m = (consts.m_harmonized if harmonized else consts.m) * constant_scale
-    spec = _interior_eval_spec(ctx)
-    p = MLParams(ctx.alpha, beta)
-    points = []
-    for t in _t_grid(consts.t0, t_max_factor, n_points):
-        z = ctx.lam * t ** ctx.alpha
-        if classify_region(spec, z) is not RegionClass.G_PLUS:
-            raise SectorContextError(
-                "hypothesis violated: lambda t^alpha left G+ of the "
-                "evaluation path")
-        value, err, _ = _cauchy_integral(spec, p, z, controls, 0)
-        weight = t ** t_weight
-        points.append(CertificatePoint(
-            t=float(t),
-            measured=abs(value) * weight,
-            allowed=m / t ** allowed_power,
-            err=err * weight * err_inflate,
-        ))
-    verdict, worst_ratio, worst_t = _verdict(points)
     constants = {
         "m": m,
         "m_printed": consts.m,
@@ -476,6 +447,45 @@ def _certify_remainder(name: str, ctx: SectorContext, beta: complex,
         "i1": consts.i1,
         "constant_scale": constant_scale,
     }
+    return m, constants
+
+
+def _certify_remainder(name: str, ctx: SectorContext, beta: complex,
+                       t_weight: float, allowed_power: float,
+                       n_points: int, t_max_factor: float,
+                       controls: QuadratureControls | None,
+                       constant_scale: float, err_inflate: float,
+                       harmonized: bool) -> CertificateReport:
+    """Shared core of certificates (i) and (ii).
+
+    The measured quantity is t**t_weight * |I(z)| with I the path integral
+    remainder at z = lambda t^alpha in G+, compared against
+    constant_scale * m / t**allowed_power.  The remainders at all grid
+    points come from one batched path integral.
+    """
+    _require_side(ctx, "interior", name)
+    controls = controls or _CERT_QUAD
+    consts = lemma2_constants(ctx, controls)
+    m, constants = _lemma2_envelope(consts, harmonized, constant_scale)
+    spec = _interior_eval_spec(ctx)
+    p = MLParams(ctx.alpha, beta)
+    ts = _t_grid(consts.t0, t_max_factor, n_points)
+    zs = [ctx.lam * t ** ctx.alpha for t in ts]
+    if any(classify_region(spec, z) is not RegionClass.G_PLUS for z in zs):
+        raise SectorContextError(
+            "hypothesis violated: lambda t^alpha left G+ of the "
+            "evaluation path")
+    values, errs, _ = _cauchy_integral(spec, p, np.array(zs), controls, 0)
+    points = []
+    for t, value, err in zip(ts, values, errs):
+        weight = t ** t_weight
+        points.append(CertificatePoint(
+            t=float(t),
+            measured=abs(value) * weight,
+            allowed=m / t ** allowed_power,
+            err=err * weight * err_inflate,
+        ))
+    verdict, worst_ratio, worst_t = _verdict(points)
     notes = [f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}"]
     if harmonized:
         notes.append("harmonized 1/pi variant of the second m component")
@@ -549,7 +559,7 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
     _require_side(ctx, "exterior", "lemma2-iii")
     controls = controls or _CERT_QUAD
     consts = lemma2_constants(ctx, controls)
-    m = (consts.m_harmonized if harmonized else consts.m) * constant_scale
+    m, constants = _lemma2_envelope(consts, harmonized, constant_scale)
     p = MLParams(ctx.alpha, complex(ctx.alpha))
     eval_controls = EvalControls(tol=1e-13, quad=controls)
     cut = _route_cut(ctx.alpha)
@@ -568,17 +578,6 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
             err=res.err_estimate * weight * err_inflate,
         ))
     verdict, worst_ratio, worst_t = _verdict(points)
-    constants = {
-        "m": m,
-        "m_printed": consts.m,
-        "m_harmonized": consts.m_harmonized,
-        "m1": consts.m1,
-        "m2": consts.m2,
-        "t0": consts.t0,
-        "i0": consts.i0,
-        "i1": consts.i1,
-        "constant_scale": constant_scale,
-    }
     notes = (f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}")
     return CertificateReport("lemma2-iii", verdict, worst_ratio, worst_t,
                              tuple(points), constants, notes)

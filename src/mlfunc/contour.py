@@ -49,6 +49,7 @@ from .numcore import (
     integrate_path,
     principal_arg,
     radial_ray,
+    require_finite,
 )
 from .series import EvalResult, EvaluationError, MLParams
 
@@ -58,7 +59,6 @@ __all__ = [
     "classify_region",
     "contour_distance",
     "contour_path",
-    "eval_contour_integral",
     "ml_contour",
     "ml_contour_deriv",
     "recip_gamma_via_contour",
@@ -167,40 +167,44 @@ def _kernel_factory(spec: ContourSpec, beta: complex):
     return kernel
 
 
-def _cauchy_integral(spec: ContourSpec, p: MLParams, z: complex,
+def _cauchy_integral(spec: ContourSpec, p: MLParams, z,
                      controls: QuadratureControls, order: int):
+    """The path integral I(z), or for order = l its derivative-kernel variant
+
+        1/(2 alpha pi i) * integral over gamma of
+            exp(zeta**(1/alpha)) zeta**((1-beta)/alpha) * l! / (zeta - z)**(l+1)
+
+    returned as (value, err_estimate, panels).  ``z`` is one argument or a
+    1-D array of them; an array shares one adaptive partition of the path
+    between all its arguments (the kernel is evaluated once per node) and
+    gives arrays of values and error estimates.  Every argument must be
+    finite and sit off the path.
+    """
     if spec.alpha != p.alpha:
         raise DomainError("contour spec and parameters disagree on alpha")
     if order < 0 or order != int(order):
         raise DomainError("order must be a nonnegative integer")
-    z = complex(z)
-    if classify_region(spec, z) is RegionClass.NEAR_CONTOUR:
+    zs = np.asarray(z, dtype=complex)
+    require_finite("z", zs)
+    if zs.ndim > 1:
+        raise DomainError("z must be a number or a 1-D array of numbers")
+    if any(classify_region(spec, zj) is RegionClass.NEAR_CONTOUR
+           for zj in zs.reshape(-1).tolist()):
         raise DomainError("argument lies on or near the integration path")
+    # a column of arguments against the row of nodes gives one integrand
+    # per argument; a single argument keeps the 1-D integrand
+    col = zs[:, None] if zs.ndim else complex(z)
     kernel = _kernel_factory(spec, p.beta)
     lfac = float(math.factorial(int(order)))
     power = int(order) + 1
 
     def f(zeta: np.ndarray) -> np.ndarray:
-        return kernel(zeta) * lfac / (zeta - z) ** power
+        return kernel(zeta) * lfac / (zeta - col) ** power
 
     value, err, panels = _integrate_gamma(spec, f, controls)
     pref = 1.0 / (2.0 * spec.alpha * math.pi)
     # prefactor 1/(2 alpha pi i): dividing by i rotates, magnitude unchanged
     return value * pref / 1j, err * pref, panels
-
-
-def eval_contour_integral(spec: ContourSpec, p: MLParams, z: complex,
-                          controls: QuadratureControls | None = None,
-                          order: int = 0):
-    """The path integral I(z) (order 0) or its derivative-kernel variant.
-
-    order = l integrates exp(zeta**(1/alpha)) zeta**((1-beta)/alpha)
-    * l! / (zeta - z)**(l+1), with the 1/(2 alpha pi i) prefactor.  Returns
-    (value, err_estimate).  The argument must sit off the path.
-    """
-    value, err, _ = _cauchy_integral(spec, p, z, controls or QuadratureControls(),
-                                     order)
-    return value, err
 
 
 def _explicit_term_powers(alpha: float, beta: complex, order: int):
@@ -259,6 +263,7 @@ def ml_contour(p: MLParams, z: complex,
     argument keeps a healthy distance from the path.  A caller-provided
     spec is used as-is and rejected if the argument sits too close.
     """
+    require_finite("z", z)
     z = complex(z)
     if spec is None:
         spec = _auto_spec(p.alpha, z)
@@ -282,6 +287,8 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float, l: int,
     """
     if l < 0 or l != int(l):
         raise DomainError("derivative order must be a nonnegative integer")
+    require_finite("lam", lam)
+    require_finite("t", t)
     if t <= 0.0:
         raise DomainError("the path route needs t > 0")
     l = int(l)

@@ -12,13 +12,15 @@ This module collects the low-level numerics everything else is built on:
 * ``integrate_path``             -- adaptive Gauss-Kronrod (7,15) panels over
   parametrized paths in the complex plane, with truncation of infinite ray
   tails once the integrand has dropped below a configurable threshold.
+  The integrand may return n rows of values on the same nodes; all rows
+  then share one adaptive partition, and each row keeps its own error
+  estimate, stopping target and tail threshold.
 
 Only double precision is targeted.  Gamma far out on the real axis
 (|z| > 170) and arbitrary-precision evaluation are out of scope here.
 """
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
@@ -38,6 +40,7 @@ __all__ = [
     "circular_arc",
     "radial_ray",
     "integrate_path",
+    "require_finite",
 ]
 
 _EPS = math.ulp(1.0)
@@ -65,10 +68,13 @@ class QuadratureControls:
     """Stopping and truncation parameters for ``integrate_path``.
 
     rel_tol / abs_tol  combined target: iteration stops once the summed
-                       panel error is below max(abs_tol, rel_tol*|result|).
-    max_panels         hard cap on the number of panels before giving up.
+                       panel error is below max(abs_tol, rel_tol*|result|),
+                       for every integrand row against its own result.
+    max_panels         hard cap on the number of panels before giving up;
+                       panels are shared by all rows.
     truncation_drop    infinite ray tails are cut once the local integrand
-                       magnitude falls below truncation_drop * peak.
+                       magnitude falls below truncation_drop * peak, for
+                       every row against its own peak.
     """
 
     rel_tol: float = 1e-12
@@ -86,6 +92,17 @@ class QuadratureControls:
 
 
 DEFAULT_CONTROLS = QuadratureControls()
+
+
+def require_finite(name: str, value) -> None:
+    """Raise DomainError naming the argument unless ``value`` (a number or an
+    array of numbers) is finite in every entry."""
+    if isinstance(value, np.ndarray):
+        finite = bool(np.isfinite(value).all())
+    else:
+        finite = cmath.isfinite(value)
+    if not finite:
+        raise DomainError(f"argument {name} must be finite, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -308,12 +325,25 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[[1, 3, 5]] = _WG[:3]
 _W_GAUSS[7] = _WG[3]
 _W_GAUSS[[9, 11, 13]] = _WG[2::-1]
+_W_KG = np.stack((_W_KRONROD, _W_GAUSS))
+
+
+def _panel_error(err: float, resasc: float, resabs: float) -> float:
+    """QUADPACK's rescaled error of one panel from |kronrod - gauss|."""
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return max(err, 50.0 * _EPS * resabs)
 
 
 def _eval_panel(f, seg: PathSegment, a: float, b: float, arclength: bool):
-    """Apply the (7,15) pair on [a, b] of one segment.
+    """Apply the (7,15) pair on [a, b] of one segment to every integrand.
 
-    Returns (kronrod_value, error_magnitude, peak |weighted integrand|).
+    ``f`` returns one value per node or an (n, 15) array, one row per
+    integrand.  Returns (row, peak, single): ``row`` packs the Kronrod
+    values (as interleaved real/imaginary floats), the error magnitudes and
+    the |f| sums (resabs) of all n integrands into one float vector of
+    length 4n, ``peak`` is the largest |weighted integrand| of each, and
+    ``single`` tells whether ``f`` returned a 1-D array.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -322,37 +352,49 @@ def _eval_panel(f, seg: PathSegment, a: float, b: float, arclength: bool):
     if arclength:
         weight = np.abs(weight)
     y = np.asarray(f(seg.point(s)), dtype=complex) * weight
-    k_val = h * np.sum(_W_KRONROD * y)
-    g_val = h * np.sum(_W_GAUSS * y)
+    single = y.ndim == 1
+    if single:
+        y = y[None, :]
+    elif y.ndim != 2:
+        raise DomainError("integrand must return one value per node or an "
+                          "(n, nodes) array")
+    # Kronrod and embedded Gauss sums in one (2, n) reduction
+    kg = h * np.add.reduce(y * _W_KG[:, None, :], axis=2)
+    k_val = kg[0]
     ah = abs(h)
     abs_y = np.abs(y)
-    resabs = ah * float(np.sum(_W_KRONROD * abs_y))
+    resabs = ah * np.add.reduce(_W_KRONROD * abs_y, axis=1)
     mean = k_val / (b - a)
-    resasc = ah * float(np.sum(_W_KRONROD * np.abs(y - mean)))
-    err = abs(k_val - g_val)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return k_val, err, resabs, float(abs_y.max(initial=0.0))
+    resasc = ah * np.add.reduce(_W_KRONROD * np.abs(y - mean[:, None]), axis=1)
+    err = [_panel_error(abs(k - g), asc, rab) for k, g, asc, rab
+           in zip(k_val.tolist(), kg[1].tolist(), resasc.tolist(), resabs.tolist())]
+    return np.concatenate((k_val.view(float), err, resabs)), abs_y.max(axis=1), single
 
 
 _MAX_TAIL_BLOCKS = 64
 
 
 def _seed_panels(f, seg: PathSegment, controls: QuadratureControls, arclength: bool):
-    """Initial panel list for one segment; truncates an infinite tail."""
+    """Initial evaluated panels of one segment; truncates an infinite tail.
+
+    Returns a list of ((seg, a, b), _eval_panel result).  A ray is laid out
+    in doubling blocks until every integrand has dropped below
+    truncation_drop times its own peak; each block is evaluated once and
+    becomes a panel.
+    """
     if math.isfinite(seg.s1):
-        return [(seg, seg.s0, seg.s1)]
+        return [((seg, seg.s0, seg.s1), _eval_panel(f, seg, seg.s0, seg.s1, arclength))]
     panels = []
     start = seg.s0
     length = max(1.0, abs(seg.s0))
     peak = 0.0
     for _ in range(_MAX_TAIL_BLOCKS):
         end = start + length
-        _, _, _, block_peak = _eval_panel(f, seg, start, end, arclength)
-        panels.append((seg, start, end))
-        peak = max(peak, block_peak)
-        if block_peak <= controls.truncation_drop * peak and len(panels) >= 2:
+        evaluated = _eval_panel(f, seg, start, end, arclength)
+        panels.append(((seg, start, end), evaluated))
+        block_peak = evaluated[1]
+        peak = np.maximum(peak, block_peak)
+        if len(panels) >= 2 and np.all(block_peak <= controls.truncation_drop * peak):
             return panels
         start = end
         length *= 2.0
@@ -371,60 +413,88 @@ def integrate_path(
     path: PathLike,
     controls: QuadratureControls | None = None,
     arclength: bool = False,
-) -> tuple[complex, float]:
+):
     """Integrate f along a path: sum of integral(f(p(s)) * p'(s) ds) per segment.
 
     ``f`` must accept an ndarray of complex points and return the integrand
-    values elementwise.  With ``arclength=True`` the weight is |p'(s)|, i.e.
-    the integral is taken against |d zeta|.
+    values elementwise, or an (n, len(points)) array holding n integrands
+    on the same points.  With ``arclength=True`` the weight is |p'(s)|,
+    i.e. the integral is taken against |d zeta|.
 
-    Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError`
-    (carrying the best estimate) if ``max_panels`` is exhausted first.
+    All n integrands share one adaptive partition.  Integrand j has its own
+    Gauss-Kronrod error sum and has converged once that sum is below
+    max(abs_tol, rel_tol*|total_j|, 100*eps*sum|f_j|); the loop ends when
+    every integrand has converged, and each step bisects the panel with the
+    largest err_ij / target_j over the integrands still open.  A ray tail
+    is cut once every integrand has dropped below ``truncation_drop`` times
+    its own peak.  ``max_panels`` counts shared panels.
+
+    Returns ``(value, error_estimate)``: scalars for a 1-D integrand, arrays
+    of length n otherwise.  Raises :class:`QuadratureError` (carrying the
+    best estimate, in the same shape) if ``max_panels`` is exhausted first.
     """
     controls = controls or DEFAULT_CONTROLS
     segments = [path] if isinstance(path, PathSegment) else list(path)
     if not segments:
         raise DomainError("empty path")
 
-    heap = []
-    counter = 0
-    total = 0j
-    err_sum = 0.0
-    resabs_sum = 0.0
-    for seg in segments:
-        for seg_, a, b in _seed_panels(f, seg, controls, arclength):
-            value, err, resabs, _ = _eval_panel(f, seg_, a, b, arclength)
-            heapq.heappush(heap, (-err, counter, a, b, value, resabs, seg_))
-            counter += 1
-            total += value
-            err_sum += err
-            resabs_sum += resabs
+    seeds = [panel for seg in segments
+             for panel in _seed_panels(f, seg, controls, arclength)]
+    _, (_, peak, single) = seeds[0]
+    n = len(peak)
+    # table row r is panel r's packed _eval_panel row; acc holds the running
+    # sums over the live rows in the same layout: totals, errors, resabs.
+    # A bisected panel keeps its row with the errors set to -inf, so ties
+    # in the selection go to the oldest panel, and new rows are appended.
+    where = [panel for panel, _ in seeds]
+    rows = len(where)
+    table = np.empty((max(64, 2 * rows), 4 * n))
+    table[:rows] = [row for _, (row, _, _) in seeds]
+    acc = np.add.accumulate(table[:rows])[-1]  # summed in panel order
+    total = acc[:2 * n].view(complex)
+    err_sum = acc[2 * n:3 * n]
+    errs = table[:, 2 * n:3 * n]
+    panels = rows
 
     while True:
         # the roundoff floor 100*eps*sum(|f|) is the best any amount of
         # subdivision can achieve, so treat reaching it as convergence
-        target = max(
-            controls.abs_tol,
-            controls.rel_tol * abs(total),
-            100.0 * _EPS * resabs_sum,
-        )
-        if err_sum <= target:
-            return total, err_sum
-        if len(heap) + 1 > controls.max_panels:
+        sums = acc.tolist()
+        targets = [
+            max(controls.abs_tol,
+                controls.rel_tol * abs(complex(sums[2 * j], sums[2 * j + 1])),
+                100.0 * _EPS * sums[3 * n + j])
+            for j in range(n)
+        ]
+        open_ = [j for j in range(n) if not sums[2 * n + j] <= targets[j]]
+        if not open_:
+            break
+        if panels + 1 > controls.max_panels:
             raise QuadratureError(
                 "panel budget exhausted before reaching the requested tolerance",
-                value=total,
-                err_estimate=err_sum,
+                value=total[0] if single else total.copy(),
+                err_estimate=err_sum[0] if single else err_sum.copy(),
             )
-        neg_err, _, a, b, value, resabs, seg = heapq.heappop(heap)
-        err_sum -= -neg_err
-        total -= value
-        resabs_sum -= resabs
+        if len(open_) == 1:
+            # one open integrand: its target is a common factor
+            i = int(errs[:rows, open_[0]].argmax())
+        else:
+            score = errs[:rows, open_] / np.array([targets[j] for j in open_])
+            i = int(score.argmax()) // len(open_)
+        seg, a, b = where[i]
+        acc -= table[i]
+        errs[i] = -math.inf
+        if rows + 2 > len(table):
+            table = np.concatenate((table, np.empty_like(table)))
+            errs = table[:, 2 * n:3 * n]
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            v, e, r, _ = _eval_panel(f, seg, lo, hi, arclength)
-            heapq.heappush(heap, (-e, counter, lo, hi, v, r, seg))
-            counter += 1
-            total += v
-            err_sum += e
-            resabs_sum += r
+            row = _eval_panel(f, seg, lo, hi, arclength)[0]
+            table[rows] = row
+            acc += row
+            where.append((seg, lo, hi))
+            rows += 1
+        panels += 1
+    if single:
+        return total[0], err_sum[0]
+    return total.copy(), err_sum.copy()

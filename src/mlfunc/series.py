@@ -36,7 +36,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import loggamma
 
-from .numcore import DomainError, QuadratureControls, recip_gamma
+from .numcore import DomainError, QuadratureControls, recip_gamma, require_finite
 
 __all__ = [
     "MLParams",
@@ -331,6 +331,7 @@ def ml_eval(p: MLParams, z: complex, controls: EvalControls | None = None) -> Ev
     result whose honest error estimate misses the tolerance is upgraded to
     the extended mode rather than returned degraded.
     """
+    require_finite("z", z)
     controls = controls or EvalControls()
     z = complex(z)
     az = abs(z)

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlfunc.bounds import _CERT_QUAD, _interior_eval_spec, certify_lemma2_i, sector_context
 from mlfunc.contour import (
     ContourSpec,
     RegionClass,
+    _cauchy_integral,
+    _explicit_term,
     classify_region,
     contour_distance,
     ml_contour,
     ml_contour_deriv,
     recip_gamma_via_contour,
 )
-from mlfunc.numcore import DomainError, recip_gamma
+from mlfunc.numcore import DomainError, QuadratureControls, recip_gamma
 from mlfunc.series import MLParams, ml_series_deriv
 
 
@@ -189,3 +192,93 @@ def test_error_estimates_cover_route_disagreement():
         s = ml_series_deriv(p, complex(z), 1.0, 0, extended=True)
         gap = abs(c.value - s.value)
         assert gap <= 4.0 * (c.err_estimate + s.err_estimate) + 1e-14 * abs(s.value)
+
+
+# ------------------------------------------------------ batched path integral
+
+_QUAD = QuadratureControls()
+
+
+@given(st.sampled_from([0.35, 0.5, 0.6, 0.8]),
+       st.lists(st.tuples(st.floats(min_value=0.05, max_value=40.0),
+                          st.floats(min_value=-math.pi, max_value=math.pi)),
+                min_size=1, max_size=40))
+@settings(max_examples=12, deadline=None)
+def test_batched_cauchy_integral_matches_one_argument_calls(alpha, polar):
+    # arguments on both sides of the path; each column of the batched call
+    # must agree with the one-argument call within both error estimates
+    spec = _spec(alpha)
+    p = MLParams(alpha, 1.0)
+    zs = [r * cmath.exp(1j * phi) for r, phi in polar]
+    zs = [z for z in zs if contour_distance(spec, z) >= 1e-2 * max(1.0, abs(z))]
+    if not zs:
+        return
+    values, errs, _ = _cauchy_integral(spec, p, np.array(zs), _QUAD, 0)
+    assert values.shape == errs.shape == (len(zs),)
+    for z, value, err in zip(zs, values, errs):
+        one, one_err, _ = _cauchy_integral(spec, p, z, _QUAD, 0)
+        assert abs(value - one) <= err + one_err
+
+
+def test_batched_cauchy_integral_near_path_column_keeps_others_accurate():
+    # one argument hugs the upper ray, which forces deep refinement there;
+    # the other columns must still meet their own accuracy, and so must it
+    spec = _spec(0.6)
+    p = MLParams(0.6, 1.0)
+    ray = cmath.exp(1j * spec.theta)
+    near = 3.0 * ray + 1e-3 * 1j * ray
+    assert classify_region(spec, near) is not RegionClass.NEAR_CONTOUR
+    zs = [near, -5.0, 2.0 + 1.0j, 10.0, 0.3j]
+    values, errs, panels = _cauchy_integral(spec, p, np.array(zs), _QUAD, 1)
+    single_panels = 0
+    for z, value, err in zip(zs, values, errs):
+        one, one_err, n = _cauchy_integral(spec, p, z, _QUAD, 1)
+        single_panels += n
+        assert abs(value - one) <= err + one_err
+        assert err <= 1e-11 * abs(one) + 1e-13
+    assert panels < single_panels
+
+
+def test_batched_remainder_plus_explicit_term_matches_series():
+    # three lemma2-i grid points: the certificate's batched remainder plus
+    # the explicit exponential must reproduce E_alpha from the series oracle
+    ctx = sector_context(0.6, 1.0)
+    report = certify_lemma2_i(ctx)
+    p = MLParams(0.6, 1.0)
+    picked = [report.points[k] for k in (0, 5, 10)]
+    zs = np.array([ctx.lam * pt.t ** ctx.alpha for pt in picked])
+    values, errs, _ = _cauchy_integral(_interior_eval_spec(ctx), p, zs, _CERT_QUAD, 0)
+    for pt, z, value, err in zip(picked, zs, values, errs):
+        assert abs(value) == pytest.approx(pt.measured, rel=1e-13)
+        expl = _explicit_term(0.6, 1.0, complex(z))
+        oracle = ml_series_deriv(p, complex(z), 1.0, 0, extended=True)
+        # exp(w) carries the rounding of its exponent w = z**(1/alpha)
+        expl_err = (4.0 + abs(complex(z) ** (1.0 / 0.6))) * math.ulp(1.0) * abs(expl)
+        assert abs(value + expl - oracle.value) <= err + expl_err + oracle.err_estimate
+
+
+# ----------------------------------------------------------- non-finite input
+
+_NON_FINITE = [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+               complex(math.nan, 0.0), complex(0.0, -math.inf)]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE)
+def test_contour_rejects_non_finite_argument(z):
+    with pytest.raises(DomainError, match="argument z must be finite"):
+        ml_contour(MLParams(0.6, 1.0), z)
+
+
+@pytest.mark.parametrize("lam,t", [(math.nan, 2.0), (complex(math.inf, 1.0), 2.0),
+                                   (-1.0, math.inf), (-1.0, math.nan)])
+def test_contour_derivative_rejects_non_finite_arguments(lam, t):
+    name = "t" if math.isfinite(abs(complex(lam))) else "lam"
+    with pytest.raises(DomainError, match=f"argument {name} must be finite"):
+        ml_contour_deriv(MLParams(0.6, 1.0), lam, t, 1)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_batched_cauchy_integral_rejects_a_non_finite_column(bad):
+    zs = np.array([-5.0, bad, 2.0 + 1.0j])
+    with pytest.raises(DomainError, match="argument z must be finite"):
+        _cauchy_integral(_spec(0.6), MLParams(0.6, 1.0), zs, _QUAD, 0)

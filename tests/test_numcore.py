@@ -199,6 +199,83 @@ def test_quadrature_error_on_divergent_integrand():
                        QuadratureControls(max_panels=64))
 
 
+def test_ray_evaluates_each_panel_once():
+    # the doubling blocks that locate the tail cut are reused as panels, so
+    # the integrand is never called twice on the same nodes
+    calls = []
+
+    def f(z):
+        calls.append(tuple(z.tolist()))
+        return np.exp(-z) * z
+
+    val, _ = integrate_path(f, [radial_ray(0.0, 1.0)])
+    assert val == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+    assert len(calls) > 2
+    assert len(calls) == len(set(calls))
+
+
+def _decay_rows(z, rates):
+    return np.exp(-np.outer(rates, z))
+
+
+def test_vector_integrand_matches_scalar_calls():
+    # n integrands on one partition: each row agrees with its own scalar
+    # integral, and the result has one value and one error per row
+    rates = np.array([0.5, 1.0, 3.0])
+    path = [radial_ray(0.4, 1.0)]
+    vals, errs = integrate_path(lambda z: _decay_rows(z, rates), path)
+    assert vals.shape == errs.shape == (3,)
+    for j, rate in enumerate(rates):
+        one, one_err = integrate_path(lambda z: np.exp(-rate * z), path)
+        assert abs(vals[j] - one) <= errs[j] + one_err
+        want = cmath.exp(-rate * cmath.exp(0.4j)) / rate
+        assert vals[j] == pytest.approx(want, rel=1e-12)
+
+
+def test_vector_integrand_single_row_keeps_array_shape():
+    vals, errs = integrate_path(lambda z: z[None, :] ** 2,
+                                [line_segment(0.0, complex(1, 1))])
+    assert vals.shape == errs.shape == (1,)
+    assert vals[0] == pytest.approx((1 + 1j) ** 3 / 3, rel=1e-13)
+
+
+def test_vector_integrand_rows_stop_on_their_own_targets():
+    # a smooth row next to an oscillating one 200 orders of magnitude
+    # smaller: with a negligible abs_tol the small row must still reach
+    # rel_tol against its own total, not stop on the large row's target
+    controls = QuadratureControls(rel_tol=1e-12, abs_tol=1e-300)
+
+    def f(z):
+        return np.stack((np.exp(-z), 1e-200 * np.exp(-z) * np.cos(10.0 * z)))
+
+    vals, errs = integrate_path(f, [radial_ray(0.0, 1.0)], controls)
+    want = np.array([math.exp(-1.0),
+                     1e-200 * (cmath.exp(complex(-1.0, 10.0)) / complex(1.0, -10.0)).real])
+    assert np.all(np.abs(vals - want) <= 1e-12 * np.abs(want))
+    assert np.all(errs <= 1e-12 * np.abs(want))
+
+
+def test_vector_ray_tail_waits_for_the_slowest_row():
+    # the fast row drops below the truncation threshold long before the slow
+    # one; cutting on the fast row alone would lose most of the slow integral
+    rates = np.array([5.0, 0.02])
+    vals, _ = integrate_path(lambda z: _decay_rows(z, rates), [radial_ray(0.0, 1.0)])
+    want = np.exp(-rates) / rates
+    assert vals == pytest.approx(want, rel=1e-12)
+
+
+def test_vector_integrand_budget_error_carries_every_row():
+    with pytest.raises(QuadratureError) as info:
+        integrate_path(lambda z: np.stack((np.ones_like(z), 1.0 / z)),
+                       [line_segment(0.0, 1.0)], QuadratureControls(max_panels=64))
+    assert np.shape(info.value.value) == np.shape(info.value.err_estimate) == (2,)
+
+
+def test_integrand_of_wrong_shape_is_rejected():
+    with pytest.raises(DomainError):
+        integrate_path(lambda z: np.ones((2, 2, z.size)), [line_segment(0.0, 1.0)])
+
+
 def test_quadrature_controls_validation():
     with pytest.raises(DomainError):
         QuadratureControls(rel_tol=-1.0)

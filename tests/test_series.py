@@ -260,3 +260,12 @@ def test_conjugate_symmetry():
     a = ml_eval(p, z).value
     b = ml_eval(p, z.conjugate()).value
     assert b == pytest.approx(a.conjugate(), rel=1e-13)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+                               complex(math.nan, 0.0), complex(0.0, -math.inf)])
+def test_eval_rejects_non_finite_argument(z):
+    # once returned 0 with a zero error (1+inf*j), nan+nanj (inf) or a
+    # message about the contour radius (nan)
+    with pytest.raises(DomainError, match="argument z must be finite"):
+        ml_eval(MLParams(0.6, 1.0), z)
