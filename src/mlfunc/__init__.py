@@ -62,6 +62,7 @@ from .series import (
     EvaluationError,
     MLParams,
     SeriesConvergenceError,
+    evaluate,
     ml_eval,
     ml_series,
     ml_series_deriv,

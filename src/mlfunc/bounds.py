@@ -73,7 +73,6 @@ from .contour import (
     _cauchy_integral,
     _integrate_gamma,
     classify_region,
-    ml_contour,
     ml_contour_deriv,
 )
 from .numcore import (
@@ -85,7 +84,14 @@ from .numcore import (
     principal_arg,
     recip_gamma,
 )
-from .series import EvalControls, EvalResult, MLParams, ml_eval, ml_series_deriv
+from .series import (
+    EvalControls,
+    EvalResult,
+    MLParams,
+    evaluate,
+    ml_eval,
+    ml_series_deriv,
+)
 
 __all__ = [
     "SectorContextError",
@@ -536,16 +542,6 @@ def certify_lemma2_ii(ctx: SectorContext, n_points: int = 40,
                              report.notes + ("z-form cross-check attached",))
 
 
-def _route_cut(alpha: float) -> float:
-    """|z| above which the path route takes over from the series routes.
-
-    Capped so the extended-precision series never needs more than ~90
-    digits: its largest term is exp(|z|**(1/alpha)), which is what makes a
-    small alpha expensive much earlier than a small |z| suggests.
-    """
-    return min(5.0, 200.0 ** alpha)
-
-
 def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
                        t_max_factor: float = 200.0,
                        controls: QuadratureControls | None = None,
@@ -554,7 +550,7 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
     """|t^(a-1) E_{a,a}(lambda t^a)| <= m / t^(a+1) for exterior lambda, t >= t0.
 
     Here the function itself is small, so it is evaluated directly (series
-    or path route picked automatically) and weighted by t^(a-1).
+    or path route picked by ``evaluate``) and weighted by t^(a-1).
     """
     _require_side(ctx, "exterior", "lemma2-iii")
     controls = controls or _CERT_QUAD
@@ -562,14 +558,9 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
     m, constants = _lemma2_envelope(consts, harmonized, constant_scale)
     p = MLParams(ctx.alpha, complex(ctx.alpha))
     eval_controls = EvalControls(tol=1e-13, quad=controls)
-    cut = _route_cut(ctx.alpha)
     points = []
     for t in _t_grid(consts.t0, t_max_factor, n_points):
-        z = ctx.lam * t ** ctx.alpha
-        if abs(z) <= cut:
-            res = ml_eval(p, z, eval_controls)
-        else:
-            res = ml_contour(p, z, controls)
+        res = ml_eval(p, ctx.lam * t ** ctx.alpha, eval_controls)
         weight = t ** (ctx.alpha - 1.0)
         points.append(CertificatePoint(
             t=float(t),
@@ -583,23 +574,22 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
                              tuple(points), constants, notes)
 
 
-def _deriv_value(p: MLParams, lam: complex, t: float, l: int,
-                 controls: QuadratureControls) -> tuple[EvalResult, float]:
-    """Derivative by the best route; returns (result, route disagreement).
+def _route_gap(p: MLParams, lam: complex, t: float, l: int, res: EvalResult,
+               controls: QuadratureControls) -> float:
+    """Disagreement of ``res`` with the route ``evaluate`` did not take.
 
-    The series route runs below an alpha-aware cut (its cost is set by
-    exp(|z|**(1/alpha))), the path route above 60% of it; on the overlap
-    band both run and the disagreement is folded into the error budget.
+    Only on the band 0.6 c <= |z| <= c, c = min(9, 200**alpha), where the
+    largest series term stays under exp(200) and both routes are cheap;
+    0 off the band.
     """
-    z_mod = abs(lam) * t ** p.alpha
-    series_cut = min(9.0, 200.0 ** p.alpha)
-    contour_cut = 0.6 * series_cut
-    res_s = ml_series_deriv(p, lam, t, l) if z_mod <= series_cut else None
-    res_c = ml_contour_deriv(p, lam, t, l, controls) if z_mod >= contour_cut else None
-    if res_s is not None and res_c is not None:
-        gap = abs(res_s.value - res_c.value)
-        return res_c, gap
-    return (res_c or res_s), 0.0
+    cut = min(9.0, 200.0 ** p.alpha)
+    if not 0.6 * cut <= abs(lam) * t ** p.alpha <= cut:
+        return 0.0
+    if res.method == "contour":
+        other = ml_series_deriv(p, lam, t, l)
+    else:
+        other = ml_contour_deriv(p, lam, t, l, controls)
+    return abs(other.value - res.value)
 
 
 def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
@@ -610,10 +600,10 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     """Derivative envelopes |d^l E_alpha| <= M_l/t^a and
     |d^l E_{a,a}| <= M_hat_l/t^(2a) on the exterior side for t >= t0.
 
-    Both routes (derivative series, derivative path kernel) are compared on
-    their overlap band and the disagreement enters the error budget.  The
-    report constants include fitted log-log tail slopes per family and
-    order, which should approach -alpha and -2*alpha.
+    Each value comes from ``evaluate``; on the band where both routes are
+    cheap the other route cross-checks it, and the disagreement enters the
+    error budget.  The report constants include fitted log-log tail slopes
+    per family and order, which should approach -alpha and -2*alpha.
     """
     _require_side(ctx, "exterior", "lemma4")
     if l_max < 0:
@@ -623,6 +613,7 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     p1 = MLParams(ctx.alpha, 1.0)
     paa = MLParams(ctx.alpha, complex(ctx.alpha))
     ts = _t_grid(consts.t0, t_max_factor, n_points)
+    eval_controls = EvalControls(quad=controls)
     points = []
     max_gap = 0.0
     series_by_label: dict[str, list[tuple[float, float]]] = {}
@@ -632,7 +623,8 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
                 ("E1", p1, consts.m_l[l], ctx.alpha),
                 ("EAA", paa, consts.m_hat_l[l], 2.0 * ctx.alpha),
             ):
-                res, gap = _deriv_value(p, ctx.lam, float(t), l, controls)
+                res = evaluate(p, ctx.lam, float(t), l, eval_controls)
+                gap = _route_gap(p, ctx.lam, float(t), l, res, controls)
                 max_gap = max(max_gap, gap / max(abs(res.value), 1e-300))
                 label = f"{fam} l={l}"
                 measured = abs(res.value)
@@ -802,19 +794,13 @@ def lemma3_limit_check(alpha: float, lam: complex,
     else:
         paa = MLParams(alpha, complex(alpha))
         p1 = MLParams(alpha, 1.0)
-        ev = EvalControls(tol=1e-12)
-        cut = _route_cut(alpha)
-
-        def one(p: MLParams, z: complex) -> complex:
-            if abs(z) <= cut:
-                return ml_eval(p, z, ev).value
-            return ml_contour(p, z, controls).value
+        ev = EvalControls(tol=1e-12, quad=controls)
 
         def eaa_vec(z: np.ndarray) -> np.ndarray:
-            return np.array([one(paa, complex(zz)) for zz in z])
+            return np.array([ml_eval(paa, complex(zz), ev).value for zz in z])
 
         def e1_val(z: complex) -> complex:
-            return one(p1, z)
+            return ml_eval(p1, z, ev).value
 
         node_rel = 1e-11
 

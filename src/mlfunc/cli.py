@@ -33,7 +33,6 @@ import numpy as np
 from .bounds import (
     LIMIT_KERNELS,
     SectorContextError,
-    _deriv_value,
     certify_lemma2_i,
     certify_lemma2_ii,
     certify_lemma2_iii,
@@ -49,6 +48,7 @@ from .series import (
     EvaluationError,
     MLParams,
     SeriesConvergenceError,
+    evaluate,
     ml_eval,
     ml_series_deriv,
 )
@@ -387,17 +387,9 @@ def _cmd_eval(opt: _Options) -> int:
         for t in ts:
             if t < 0.0:
                 raise UsageError("--t values must be nonnegative")
-            if order == 0 and t > 0.0:
-                res = ml_eval(p, lam * t ** alpha, controls)
-                err = res.err_estimate
-            elif p.alpha >= 1.0 or t == 0.0:
-                res = ml_series_deriv(p, lam, t, order, tol=tol)
-                err = res.err_estimate
-            else:
-                res, gap = _deriv_value(p, lam, t, order, controls.quad)
-                err = res.err_estimate + gap
+            res = evaluate(p, lam, t, order, controls)
             records.append({"input": {"lam": lam, "t": t, "l": order},
-                            "value": res.value, "err_estimate": err,
+                            "value": res.value, "err_estimate": res.err_estimate,
                             "method": res.method,
                             "terms_or_panels": res.terms_or_panels})
 

@@ -257,23 +257,15 @@ def _auto_spec(alpha: float, z: complex) -> ContourSpec:
 def ml_contour(p: MLParams, z: complex,
                controls: QuadratureControls | None = None,
                spec: ContourSpec | None = None) -> EvalResult:
-    """E_{alpha,beta}(z) through the path representation (alpha < 1).
+    """E_{alpha,beta}(z) through the path representation (alpha < 1): the
+    l = 0, t = 1 case of ``ml_contour_deriv``.
 
     With ``spec=None`` the angle/radius are chosen automatically so the
     argument keeps a healthy distance from the path.  A caller-provided
     spec is used as-is and rejected if the argument sits too close.
     """
     require_finite("z", z)
-    z = complex(z)
-    if spec is None:
-        spec = _auto_spec(p.alpha, z)
-    controls = controls or QuadratureControls()
-    value, err, panels = _cauchy_integral(spec, p, z, controls, 0)
-    if classify_region(spec, z) is RegionClass.G_PLUS:
-        expl = _explicit_term(p.alpha, p.beta, z)
-        value += expl
-        err += abs(expl) * 4.0 * _EPS
-    return EvalResult(value, err, "contour", panels)
+    return _path_route(p, complex(z), 1.0, 0, controls, spec)
 
 
 def ml_contour_deriv(p: MLParams, lam: complex, t: float, l: int,
@@ -291,8 +283,14 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float, l: int,
     require_finite("t", t)
     if t <= 0.0:
         raise DomainError("the path route needs t > 0")
-    l = int(l)
-    lam = complex(lam)
+    return _path_route(p, complex(lam), t, int(l), controls, spec)
+
+
+def _path_route(p: MLParams, lam: complex, t: float, l: int,
+                controls: QuadratureControls | None,
+                spec: ContourSpec | None) -> EvalResult:
+    """The path route of ``ml_contour`` and ``ml_contour_deriv`` on their
+    validated arguments."""
     t_alpha = t ** p.alpha
     z = lam * t_alpha
     if spec is None:
@@ -305,7 +303,12 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float, l: int,
     if classify_region(spec, z) is RegionClass.G_PLUS:
         expl = _explicit_term(p.alpha, p.beta, z, order=l) * scale
         value += expl
-        err += abs(expl) * 4.0 * _EPS
+        # exp(w), w = z**(1/alpha), carries the absolute rounding of w: about
+        # eps |w| from z itself and eps |w| |Log z| / alpha from the
+        # logarithm and the exponent 1/alpha
+        w_mod = abs(z) ** (1.0 / p.alpha)
+        log_mod = abs(cmath.log(z))
+        err += 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / p.alpha)) * abs(expl)
     return EvalResult(value, err, "contour", panels)
 
 

@@ -8,8 +8,8 @@ Toeplitz matrix
 
     E(t^alpha J)[r, r+j] = (1/j!) d^j/dlambda^j E_{alpha,beta}(lambda t^alpha)
 
-so everything reduces to the scalar lambda-derivatives, evaluated by the
-series or path route depending on |lambda| t^alpha.
+so everything reduces to the scalar lambda-derivatives, evaluated by
+``mlfunc.series.evaluate`` (series or path route by |lambda| t^alpha).
 
 ``decay_check`` and ``integral_check`` validate the two stability
 statements: under the sector condition |arg lambda_i| > alpha*pi/2 for all
@@ -45,7 +45,6 @@ from scipy.linalg import block_diag
 
 from .bounds import (
     SectorContextError,
-    _deriv_value,
     expansion_coefficient,
     expansion_remainder,
     kappa_moment,
@@ -59,7 +58,7 @@ from .numcore import (
     principal_arg,
     recip_gamma,
 )
-from .series import MLParams, ml_series_deriv
+from .series import EvalControls, MLParams, evaluate
 
 __all__ = [
     "JordanSpec",
@@ -182,14 +181,6 @@ def spectral_condition(a, alpha: float) -> SpectralReport:
     return SpectralReport(tuple(eigs), margin, satisfied, tuple(notes))
 
 
-def _entry_derivative(p: MLParams, lam: complex, t: float, l: int,
-                      controls: QuadratureControls) -> complex:
-    if p.alpha >= 1.0:
-        return ml_series_deriv(p, lam, t, l).value
-    res, _ = _deriv_value(p, lam, t, l, controls)
-    return res.value
-
-
 def ml_jordan_block(p: MLParams, lam: complex, size: int, t: float,
                     controls: QuadratureControls | None = None) -> np.ndarray:
     """E_{alpha,beta}(t^alpha J) for one Jordan block J = lambda I + N."""
@@ -199,13 +190,13 @@ def ml_jordan_block(p: MLParams, lam: complex, size: int, t: float,
         raise DomainError("t must be nonnegative")
     size = int(size)
     lam = complex(lam)
-    controls = controls or QuadratureControls()
+    eval_controls = EvalControls(quad=controls or QuadratureControls())
     out = np.zeros((size, size), dtype=complex)
     if t == 0.0:
         np.fill_diagonal(out, complex(recip_gamma(p.beta)))
         return out
     for j in range(size):
-        entry = _entry_derivative(p, lam, t, j, controls) / math.factorial(j)
+        entry = evaluate(p, lam, t, j, eval_controls).value / math.factorial(j)
         for r in range(size - j):
             out[r, r + j] = entry
     return out

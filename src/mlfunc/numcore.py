@@ -352,6 +352,13 @@ def _eval_panel(f, seg: PathSegment, a: float, b: float, arclength: bool):
     if arclength:
         weight = np.abs(weight)
     y = np.asarray(f(seg.point(s)), dtype=complex) * weight
+    if not np.isfinite(y).all():
+        # a non-finite value poisons every sum it enters, and bisection
+        # never removes it
+        za, zb = seg.point(np.array([a, b])).tolist()
+        raise QuadratureError(
+            f"integrand is not finite on the path panel from {za:.6g} to {zb:.6g}",
+            value=0j, err_estimate=math.inf)
     single = y.ndim == 1
     if single:
         y = y[None, :]
@@ -431,7 +438,8 @@ def integrate_path(
 
     Returns ``(value, error_estimate)``: scalars for a 1-D integrand, arrays
     of length n otherwise.  Raises :class:`QuadratureError` (carrying the
-    best estimate, in the same shape) if ``max_panels`` is exhausted first.
+    best estimate, in the same shape) if ``max_panels`` is exhausted first,
+    and one naming the panel if the integrand is not finite on it.
     """
     controls = controls or DEFAULT_CONTROLS
     segments = [path] if isinstance(path, PathSegment) else list(path)

@@ -6,8 +6,8 @@ The defining series
 
 converges everywhere, but for arguments away from the positive axis the
 partial sums cancel violently: the largest term grows like exp(|z|**(1/alpha))
-while the value itself may be O(1/|z|).  Three evaluation modes deal with
-this:
+while the value itself may be O(1/|z|).  Two evaluation modes and one
+router deal with this:
 
 * plain mode ("series"): double precision with Neumaier-compensated
   accumulation.  The reported error estimate carries the cancellation
@@ -16,9 +16,11 @@ this:
 * extended mode ("compensated-series"): the same series summed in adaptive
   multi-precision sized from a cheap log-magnitude scan of the terms.  This
   is the oracle-grade mode the contour representation is checked against.
-* ``ml_eval`` dispatches between the two and the contour representation by
-  |z| bands, upgrading plain to extended whenever the predicted cancellation
-  would eat the requested tolerance.
+* ``evaluate`` is the one place that picks the route of a scalar value.
+  With z = lambda t**alpha it sums the series while |z| <= min(4, 200**alpha)
+  and for every z at alpha = 1 (plain first, extended when the plain pass
+  misses the tolerance); beyond that it takes the contour representation.
+  ``ml_eval`` is its underived case at t = 1.
 
 ``ml_series_deriv`` sums the lambda-derivative series
 
@@ -46,6 +48,7 @@ __all__ = [
     "EvaluationError",
     "ml_series",
     "ml_series_deriv",
+    "evaluate",
     "ml_eval",
 ]
 
@@ -92,16 +95,13 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class EvalControls:
-    """Dispatcher settings for ``ml_eval``."""
+    """Settings for ``evaluate``: the relative accuracy a series result must
+    reach, and the quadrature settings of the contour route."""
 
     tol: float = 1e-12
-    rho_switch: float = 4.0   # plain series up to here
-    rho_dd: float = 12.0      # extended-precision series up to here, contour beyond
     quad: QuadratureControls = field(default_factory=QuadratureControls)
 
     def __post_init__(self):
-        if not (0.0 < self.rho_switch <= self.rho_dd):
-            raise DomainError("need 0 < rho_switch <= rho_dd")
         if not 0.0 < self.tol < 1.0:
             raise DomainError("tol must lie in (0, 1)")
 
@@ -270,8 +270,9 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
                     extended: bool | None = None) -> EvalResult:
     """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha).
 
-    ``extended=None`` picks plain vs extended precision from the predicted
-    cancellation; True/False force the mode.  l = 0 delegates to
+    ``extended=None`` keeps the plain pass only if its error estimate meets
+    tol relative to the value, and else sums in extended precision;
+    True/False force the mode.  l = 0 delegates to
     ``ml_series`` at z = lambda * t**alpha (identical code path).
     """
     if l < 0 or l != int(l):
@@ -302,12 +303,10 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
 
     if extended is False:
         return plain_pass()
-    plain = None
-    if not _plain_attempt_is_hopeless(p, w):
-        try:
-            plain = plain_pass()
-        except SeriesConvergenceError:
-            pass
+    try:
+        plain = plain_pass()
+    except SeriesConvergenceError:
+        plain = None
     # auto mode: accept the plain pass only if its own error estimate
     # clears the tolerance relative to the value (cancellation leaves a
     # near-zero value with an absolute-scale error), else redo extended
@@ -317,50 +316,39 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
     return _series_extended(p, lam, t, l)
 
 
-def _plain_attempt_is_hopeless(p: MLParams, z: complex) -> bool:
-    # the largest series term is ~exp(|z|**(1/alpha)); past ~600 in the
-    # exponent a double-precision pass just overflows
-    return abs(z) ** (1.0 / p.alpha) > 600.0
+def evaluate(p: MLParams, lam: complex, t: float, l: int,
+             controls: EvalControls | None = None) -> EvalResult:
+    """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha), by the
+    route this package picks for every scalar value.
+
+    With z = lambda * t**alpha: the series (``ml_series_deriv`` auto mode,
+    which also holds the closed forms at t = 0 and lambda = 0) for
+    |z| <= min(4, 200**alpha) and for every z at alpha = 1, the contour
+    representation (``ml_contour_deriv``) beyond.  The series' largest term
+    is about exp(|z|**(1/alpha)); the 200**alpha cap keeps the extended mode
+    under about 90 digits.
+    """
+    require_finite("lam", lam)
+    require_finite("t", t)
+    if t < 0.0:
+        raise DomainError("t must be nonnegative")
+    controls = controls or EvalControls()
+    z_mod = abs(lam) * t ** p.alpha
+    if p.alpha == 1.0:
+        # the terms are exponential-type and the series converges for every
+        # z, but past |z| = 600 its largest term, about e**|z|, nears the
+        # edge of the double range
+        if z_mod > 600.0:
+            raise EvaluationError(
+                "value exceeds the double-precision range for alpha >= 1")
+    elif z_mod > min(4.0, 200.0 ** p.alpha):
+        from .contour import ml_contour_deriv  # deferred: contour builds on this module
+
+        return ml_contour_deriv(p, lam, t, l, controls.quad)
+    return ml_series_deriv(p, lam, t, l, controls.tol)
 
 
 def ml_eval(p: MLParams, z: complex, controls: EvalControls | None = None) -> EvalResult:
-    """Evaluate E_{alpha,beta}(z), picking the method by |z|.
-
-    plain series for |z| <= rho_switch, extended-precision series up to
-    rho_dd, contour representation beyond (alpha < 1 only).  A plain-mode
-    result whose honest error estimate misses the tolerance is upgraded to
-    the extended mode rather than returned degraded.
-    """
+    """E_{alpha,beta}(z): ``evaluate`` at lambda = z, t = 1, l = 0."""
     require_finite("z", z)
-    controls = controls or EvalControls()
-    z = complex(z)
-    az = abs(z)
-    if az <= controls.rho_switch:
-        if not _plain_attempt_is_hopeless(p, z):
-            try:
-                res = ml_series(p, z, controls.tol)
-            except SeriesConvergenceError:
-                res = None
-            if res is not None and math.isfinite(res.err_estimate) and \
-                    res.err_estimate <= controls.tol * max(abs(res.value), 1e-290):
-                return res
-        return _series_extended(p, z, 1.0, 0)
-    if az <= controls.rho_dd:
-        return _series_extended(p, z, 1.0, 0)
-    if p.alpha >= 1.0:
-        # the series converges for every z at alpha = 1 (exponential-type
-        # terms); only genuine double-range overflow is fatal out here
-        if _plain_attempt_is_hopeless(p, z):
-            raise EvaluationError(
-                "value exceeds the double-precision range for alpha >= 1")
-        try:
-            res = ml_series(p, z, controls.tol)
-        except SeriesConvergenceError:
-            res = None
-        if res is not None and math.isfinite(res.err_estimate) and \
-                res.err_estimate <= controls.tol * max(abs(res.value), 1e-290):
-            return res
-        return _series_extended(p, z, 1.0, 0)
-    from .contour import ml_contour  # deferred: contour builds on this module
-
-    return ml_contour(p, z, controls.quad)
+    return evaluate(p, z, 1.0, 0, controls)

@@ -203,10 +203,19 @@ def test_exit_usage_on_hypothesis_violation():
 
 
 def test_exit_eval_error_on_divergent_series():
-    # alpha this small makes every route fail loudly for a left argument
-    rc, _, err = run(["eval", "--alpha", "0.05", "--beta", "1", "--z=-5"])
+    # e^1000 leaves the double range, so no route can return it
+    rc, _, err = run(["eval", "--alpha", "1", "--beta", "1", "--z", "1000"])
     assert rc == EXIT_EVAL
     assert err != ""
+
+
+def test_eval_tiny_alpha_left_argument_takes_the_contour_route():
+    # the series needs ~1e15 terms here; the path route does not
+    rc, out, _ = run(["eval", "--alpha", "0.05", "--beta", "1", "--z=-5"])
+    assert rc == EXIT_OK
+    rec = json.loads(out)["records"][0]
+    assert rec["method"] == "contour"
+    assert rec["value"]["re"] == pytest.approx(0.16250645664935, rel=1e-12)
 
 
 def test_exit_fail_on_shrunk_constant():

@@ -20,7 +20,7 @@ from mlfunc.contour import (
     ml_contour_deriv,
     recip_gamma_via_contour,
 )
-from mlfunc.numcore import DomainError, QuadratureControls, recip_gamma
+from mlfunc.numcore import DomainError, QuadratureControls, QuadratureError, recip_gamma
 from mlfunc.series import MLParams, ml_series_deriv
 
 
@@ -192,6 +192,30 @@ def test_error_estimates_cover_route_disagreement():
         s = ml_series_deriv(p, complex(z), 1.0, 0, extended=True)
         gap = abs(c.value - s.value)
         assert gap <= 4.0 * (c.err_estimate + s.err_estimate) + 1e-14 * abs(s.value)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_explicit_term_bar_covers_the_rounding_of_its_exponent(l):
+    # exp(w), w = z**(1/alpha), carries the rounding of w; a bar of
+    # 4 eps |term| fell 1.8-6.7x short of the true error at these G+ points
+    cases = [(MLParams(0.6, 1.0), 7.65, 1.0), (MLParams(0.6, 0.6), 2.0, 10.0),
+             (MLParams(0.8, 1.5), cmath.exp(0.3j), 25.0),
+             (MLParams(0.5, complex(0.7, 0.4)), 7.65, 1.0)]
+    for p, lam, t in cases:
+        c = ml_contour_deriv(p, lam, t, l)
+        s = ml_series_deriv(p, lam, t, l, extended=True)
+        assert abs(c.value - s.value) <= c.err_estimate + s.err_estimate
+        if l == 0 and t == 1.0:
+            assert ml_contour(p, lam) == c
+
+
+def test_overflowing_path_is_an_evaluation_failure():
+    # an arc of radius 2 at alpha = 0.05 meets exp(2**20): the quadrature
+    # must fail with its own error, not an OverflowError from inside it
+    spec = ContourSpec(0.05, 0.75 * 0.05 * math.pi, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="not finite on the path panel"):
+            ml_contour(MLParams(0.05, 1.0), -5.0, spec=spec)
 
 
 # ------------------------------------------------------ batched path integral

@@ -199,6 +199,12 @@ def test_quadrature_error_on_divergent_integrand():
                        QuadratureControls(max_panels=64))
 
 
+def test_quadrature_error_on_non_finite_integrand():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="not finite on the path panel"):
+            integrate_path(lambda z: np.exp(1e3 * z), [line_segment(0.0, 1.0)])
+
+
 def test_ray_evaluates_each_panel_once():
     # the doubling blocks that locate the tail cut are reused as panels, so
     # the integrand is never called twice on the same nodes

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from mlfunc.numcore import DomainError, recip_gamma
 from mlfunc.series import (
-    EvalControls,
     EvaluationError,
     MLParams,
     SeriesConvergenceError,
+    evaluate,
     ml_eval,
     ml_series,
     ml_series_deriv,
@@ -131,11 +131,17 @@ def test_plain_mode_tag_on_benign_input():
 
 
 def test_upgrade_on_cancellation():
-    # |z| below rho_switch but alternating enough that plain precision fails
-    res = ml_eval(MLParams(0.5, 1.0), -8.0, EvalControls(rho_switch=10.0))
+    # inside the series band but alternating enough that plain precision fails
+    res = ml_eval(MLParams(0.5, 1.0), -3.5)
     assert res.method == "compensated-series"
     assert res.value.real == pytest.approx(
-        math.exp(64.0) * sp.erfc(8.0), rel=1e-11)
+        math.exp(12.25) * sp.erfc(3.5), rel=1e-11)
+    # past the band the contour route takes over
+    res = ml_eval(MLParams(0.5, 1.0), -8.0)
+    want = math.exp(64.0) * sp.erfc(8.0)
+    assert res.method == "contour"
+    assert res.value.real == pytest.approx(want, rel=1e-11)
+    assert abs(res.value - want) <= res.err_estimate
 
 
 def test_contour_dispatch_beyond_series_range():
@@ -156,6 +162,25 @@ def test_alpha_one_series_handles_large_arguments():
 def test_alpha_one_overflow_is_loud():
     with pytest.raises(EvaluationError):
         ml_eval(MLParams(1.0, 1.0), 1e9)
+
+
+@given(st.floats(min_value=0.3, max_value=1.0),
+       st.sampled_from(["1", "alpha", "1.5", "0.7+0.4i"]),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.floats(min_value=0.25, max_value=4.0),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_router_error_bar_covers_the_oracle(alpha, beta_kind, frac, phi, t, l):
+    # |z| <= min(50, 250**alpha) keeps |z|**(1/alpha) <= 250, so every value
+    # stays far inside the double range and the oracle's series affordable
+    beta = {"1": 1.0, "alpha": alpha, "1.5": 1.5, "0.7+0.4i": complex(0.7, 0.4)}[beta_kind]
+    p = MLParams(alpha, beta)
+    z = frac * min(50.0, 250.0 ** alpha) * cmath.exp(1j * phi)
+    lam = z / t ** alpha
+    res = evaluate(p, lam, t, l)
+    oracle = ml_series_deriv(p, lam, t, l, extended=True)
+    assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
 
 
 def test_forced_plain_mode_reports_honest_error():
