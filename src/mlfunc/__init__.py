@@ -48,7 +48,6 @@ from .numcore import (
     QuadratureControls,
     QuadratureError,
     circular_arc,
-    compensated_sum,
     cpow,
     integrate_path,
     line_segment,

@@ -4,11 +4,8 @@ This module collects the low-level numerics everything else is built on:
 
 * ``principal_arg`` / ``cpow``   -- principal-branch argument and powers with
   a fixed convention arg(z) in (-pi, pi] (negative reals get +pi).
-* ``recip_gamma``                -- 1/Gamma(z) via a Lanczos approximation
-  with reflection for Re(z) < 1/2.  The reciprocal is the primary form so
-  the poles of Gamma map to exact zeros.
-* ``compensated_sum``            -- Neumaier (improved Kahan) summation for
-  complex sequences; error behaves as if accumulated in doubled precision.
+* ``recip_gamma``                -- 1/Gamma(z) by scipy's ``rgamma``.  The
+  reciprocal is the primary form so the poles of Gamma map to exact zeros.
 * ``integrate_path``             -- adaptive Gauss-Kronrod (7,15) panels over
   parametrized paths in the complex plane, with truncation of infinite ray
   tails once the integrand has dropped below a configurable threshold.
@@ -16,16 +13,17 @@ This module collects the low-level numerics everything else is built on:
   then share one adaptive partition, and each row keeps its own error
   estimate, stopping target and tail threshold.
 
-Only double precision is targeted.  Gamma far out on the real axis
-(|z| > 170) and arbitrary-precision evaluation are out of scope here.
+Only double precision is targeted; arbitrary-precision evaluation is out
+of scope here.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
+from scipy.special import rgamma
 
 __all__ = [
     "DomainError",
@@ -35,7 +33,6 @@ __all__ = [
     "principal_arg",
     "cpow",
     "recip_gamma",
-    "compensated_sum",
     "line_segment",
     "circular_arc",
     "radial_ray",
@@ -136,94 +133,22 @@ def cpow(z: complex, w: complex) -> complex:
 
 # --------------------------------------------------------------------------
 # reciprocal gamma
-#
-# Lanczos approximation with g = 607/128 and 15 coefficients (Godfrey's
-# tableau); relative accuracy is a few ulp across the strip we care about.
-# The reflection formula 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi covers
-# Re(z) < 1/2 and produces the correct small values near the poles, while
-# exact nonpositive integers short-circuit to exactly zero.
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_gamma(z: complex) -> complex:
-    # valid for Re(z) >= 0.5
-    acc = _LANCZOS_C[0] + 0j
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return _SQRT_2PI * cmath.exp((z - 0.5) * cmath.log(t) - t) * acc
-
 
 def recip_gamma(z: complex) -> complex:
-    """1/Gamma(z); exactly 0 at nonpositive integers.
+    """1/Gamma(z) by scipy's ``rgamma``; exactly 0 at nonpositive integers.
 
     When Gamma itself overflows the double range the reciprocal underflows
-    to 0 (right half-plane); on the reflection side the reciprocal is the
-    thing that is huge, so overflow propagates there.
+    to 0 (right half-plane).  Where the reciprocal is the thing that is
+    huge (far out on the negative axis) the overflow raises OverflowError.
+    On the real axis the real routine is used: the complex one returns a
+    spurious imaginary part of a few ulp there, which a complex-step
+    derivative would read as signal.
     """
     z = complex(z)
-    if z.imag == 0.0:
-        zr = z.real
-        if zr <= 0.0 and zr == math.floor(zr):
-            return 0j
-    if z.real < 0.5:
-        return cmath.sin(math.pi * z) * _lanczos_gamma(1.0 - z) / math.pi
-    try:
-        return 1.0 / _lanczos_gamma(z)
-    except OverflowError:
-        return 0j
-
-
-# --------------------------------------------------------------------------
-# compensated summation
-
-def compensated_sum(terms: Iterable[complex]) -> complex:
-    """Neumaier-compensated sum of a complex sequence.
-
-    The rounding error behaves as if the accumulation were carried out in
-    (at least) doubled working precision.  An empty sequence sums to 0.
-    Overflow propagates as a non-finite result rather than raising.
-    """
-    s_re = 0.0
-    c_re = 0.0
-    s_im = 0.0
-    c_im = 0.0
-    for term in terms:
-        t = complex(term)
-        x = t.real
-        tmp = s_re + x
-        if abs(s_re) >= abs(x):
-            c_re += (s_re - tmp) + x
-        else:
-            c_re += (x - tmp) + s_re
-        s_re = tmp
-        y = t.imag
-        tmp = s_im + y
-        if abs(s_im) >= abs(y):
-            c_im += (s_im - tmp) + y
-        else:
-            c_im += (y - tmp) + s_im
-        s_im = tmp
-    return complex(s_re + c_re, s_im + c_im)
+    value = complex(rgamma(z.real) if z.imag == 0.0 else rgamma(z))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"1/Gamma({z!r}) exceeds the double range")
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,8 @@ router deal with this:
   With z = lambda t**alpha it sums the series while |z| <= min(4, 200**alpha)
   and for every z at alpha = 1 (plain first, extended when the plain pass
   misses the tolerance); beyond that it takes the contour representation.
-  ``ml_eval`` is its underived case at t = 1.
+  E_{1,1} = exp is taken in closed form.  ``ml_eval`` is its underived case
+  at t = 1.
 
 ``ml_series_deriv`` sums the lambda-derivative series
 
@@ -31,6 +32,7 @@ with the same machinery; l = 0 delegates to ``ml_series`` so both entry
 points share one code path for the underived case.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -54,6 +56,7 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _LN10 = math.log(10.0)
+_MAX_TERMS = 10000  # term budget of the plain double-precision pass
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -109,12 +112,15 @@ class EvalControls:
 # --------------------------------------------------------------------------
 # plain double-precision mode
 
-def _series_float(p: MLParams, lam: complex, t_alpha_l: float, w: complex,
-                  l: int, tol: float, max_terms: int):
+def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float):
     """Sum the (derivative) series in doubles with Neumaier compensation.
 
     Terms are perm(k) * t^(alpha l) * w^(k-l) * recip_gamma(alpha k + beta)
     with w = lambda * t**alpha; l = 0 reduces to the plain series in w.
+    The sum stops once the term and its geometric tail bound both drop
+    below max(tol * max(1, |partial sum|), 100 eps * sum |term|): the
+    second scale is the rounding floor the error estimate already carries,
+    so a cancelling sum stops there instead of running into overflow.
     Returns (value, err_estimate, n_terms) or raises SeriesConvergenceError.
     """
     alpha, beta = p.alpha, p.beta
@@ -125,7 +131,7 @@ def _series_float(p: MLParams, lam: complex, t_alpha_l: float, w: complex,
     prev_mag = math.inf
     tail = math.inf
     n = 0
-    for k in range(l, l + max_terms):
+    for k in range(l, l + _MAX_TERMS):
         term = perm * pw * recip_gamma(alpha * k + beta)
         mag = abs(term)
         if not math.isfinite(mag):
@@ -147,10 +153,10 @@ def _series_float(p: MLParams, lam: complex, t_alpha_l: float, w: complex,
         ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
         prev_mag = mag if mag > 0.0 else prev_mag
         value = complex(s_re + c_re, s_im + c_im)
-        scale = max(1.0, abs(value))
+        target = max(tol * max(1.0, abs(value)), 100.0 * _EPS * abs_sum)
         if ratio < 1.0:
             tail = mag * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
-            if mag <= tol * scale and tail <= tol * scale and k >= l + 2:
+            if mag <= target and tail <= target and k >= l + 2:
                 # per-term gamma rounding accumulates over the whole sum of
                 # magnitudes; this also covers the cancellation penalty
                 err = abs_sum * 100.0 * _EPS + tail
@@ -158,7 +164,7 @@ def _series_float(p: MLParams, lam: complex, t_alpha_l: float, w: complex,
         perm *= (k + 1.0) / (k + 1.0 - l)
         pw *= w
     raise SeriesConvergenceError(
-        f"series did not converge within {max_terms} terms",
+        f"series did not converge within {_MAX_TERMS} terms",
         value=complex(s_re + c_re, s_im + c_im),
         err_estimate=abs_sum * 100.0 * _EPS + (tail if math.isfinite(tail) else abs_sum),
     )
@@ -245,18 +251,18 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
 # --------------------------------------------------------------------------
 # public evaluators
 
-def ml_series(p: MLParams, z: complex, tol: float = 1e-12,
-              max_terms: int = 10000) -> EvalResult:
+def ml_series(p: MLParams, z: complex, tol: float = 1e-12) -> EvalResult:
     """Plain-mode series value of E_{alpha,beta}(z).
 
     The stopping rule requires both the current term and a geometric tail
-    bound to drop below tol (relative to max(1, |partial sum|)).  The error
-    estimate includes the cancellation penalty (largest term) * eps.
+    bound to drop below tol (relative to max(1, |partial sum|)) or below the
+    rounding floor 100 eps * sum |term|.  The error estimate includes the
+    cancellation penalty (largest term) * eps.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     z = complex(z)
-    value, err, n = _series_float(p, z, 1.0, z, 0, tol, max_terms)
+    value, err, n = _series_float(p, 1.0, z, 0, tol)
     return EvalResult(value, err, "series", n)
 
 
@@ -266,8 +272,7 @@ def _series_extended(p: MLParams, lam: complex, t: float, l: int) -> EvalResult:
 
 
 def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
-                    tol: float = 1e-12, max_terms: int = 10000,
-                    extended: bool | None = None) -> EvalResult:
+                    tol: float = 1e-12, extended: bool | None = None) -> EvalResult:
     """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha).
 
     ``extended=None`` keeps the plain pass only if its error estimate meets
@@ -296,9 +301,8 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
 
     def plain_pass() -> EvalResult:
         if l == 0:
-            return ml_series(p, w, tol, max_terms)
-        value, err, n = _series_float(
-            p, lam, t ** (p.alpha * l), w, l, tol, max_terms)
+            return ml_series(p, w, tol)
+        value, err, n = _series_float(p, t ** (p.alpha * l), w, l, tol)
         return EvalResult(value, err, "series", n)
 
     if extended is False:
@@ -326,12 +330,25 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
     |z| <= min(4, 200**alpha) and for every z at alpha = 1, the contour
     representation (``ml_contour_deriv``) beyond.  The series' largest term
     is about exp(|z|**(1/alpha)); the 200**alpha cap keeps the extended mode
-    under about 90 digits.
+    under about 90 digits.  At alpha = beta = 1 the value is the closed form
+    t**l exp(lambda t), and EvaluationError is raised only where it overflows.
     """
     require_finite("lam", lam)
     require_finite("t", t)
     if t < 0.0:
         raise DomainError("t must be nonnegative")
+    if p.alpha == 1.0 and p.beta == 1.0:
+        if l < 0 or l != int(l):
+            raise DomainError("derivative order must be a nonnegative integer")
+        # E_{1,1}(lambda t) = exp(lambda t); its l-th lambda-derivative is
+        # t**l exp(lambda t).  The bar covers the rounding of the exponent.
+        try:
+            value = t ** l * cmath.exp(lam * t)
+        except OverflowError:
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise EvaluationError("exp(lambda t) exceeds the double-precision range")
+        return EvalResult(value, 4.0 * _EPS * (1.0 + abs(lam * t)) * abs(value), "series", 1)
     controls = controls or EvalControls()
     z_mod = abs(lam) * t ** p.alpha
     if p.alpha == 1.0:

@@ -1,9 +1,9 @@
-"""Shared numeric kernel: arg/power conventions, summation, quadrature, 1/Gamma."""
+"""Shared numeric kernel: arg/power conventions, quadrature, 1/Gamma."""
 
 import cmath
 import math
-from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from mlfunc.numcore import (
     QuadratureControls,
     QuadratureError,
     circular_arc,
-    compensated_sum,
     cpow,
     integrate_path,
     line_segment,
@@ -82,34 +81,6 @@ def test_cpow_integer_exponents_match_builtin():
     z = complex(1.3, -0.8)
     assert cpow(z, 2.0) == pytest.approx(z * z, rel=1e-14)
     assert cpow(z, 0.0) == 1.0
-
-
-# ------------------------------------------------------------- compensated_sum
-
-def test_compensated_sum_classic_cancellation():
-    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0 + 0j
-
-
-@given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=60))
-def test_compensated_sum_matches_exact_rational(xs):
-    exact = sum(Fraction(x) for x in xs)
-    got = compensated_sum([complex(x) for x in xs])
-    # compensation keeps the error within a few ulp of the exact result
-    scale = max(1.0, abs(float(exact)))
-    assert abs(got.real - float(exact)) <= 16 * np.finfo(float).eps * scale
-    assert got.imag == 0.0
-
-
-@given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=40))
-def test_compensated_sum_complex_parts_independent(pairs):
-    zs = [complex(a, b) for a, b in pairs]
-    got = compensated_sum(zs)
-    assert got.real == pytest.approx(compensated_sum([z.real for z in zs]).real,
-                                     abs=1e-6)
-    assert got.imag == pytest.approx(compensated_sum([z.imag for z in zs]).real,
-                                     abs=1e-6)
 
 
 # -------------------------------------------------------------- path segments
@@ -337,6 +308,29 @@ def test_recip_gamma_reflection_overflow_is_loud():
     # would poison series coefficients, so the overflow must propagate
     with pytest.raises(OverflowError):
         recip_gamma(-200.5)
+
+
+def _recip_gamma_grid_points():
+    # real grid points at least 1e-6 from the poles of Gamma
+    right = np.linspace(0.3, 170.0, 400)
+    left = [x for x in np.linspace(-30.0, 0.3, 400) if abs(x - round(x)) >= 1e-6]
+    return [float(x) for x in np.concatenate([right, left])]
+
+
+def test_recip_gamma_matches_mpmath_on_the_real_axis():
+    with mpmath.workdps(40):
+        for x in _recip_gamma_grid_points():
+            want = mpmath.rgamma(mpmath.mpf(x))
+            got = recip_gamma(x)
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 8 * np.finfo(float).eps * abs(want), x
+
+
+@pytest.mark.parametrize("x", [171.64, 171.7, 171.81])
+def test_recip_gamma_finite_where_gamma_just_overflows(x):
+    got = recip_gamma(x)
+    assert cmath.isfinite(got)
+    assert got.real >= 0.0 and got.imag == 0.0
 
 
 @given(st.floats(min_value=0.2, max_value=30.0))

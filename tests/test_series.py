@@ -164,6 +164,21 @@ def test_alpha_one_overflow_is_loud():
         ml_eval(MLParams(1.0, 1.0), 1e9)
 
 
+def test_alpha_one_beta_one_is_exp_in_closed_form():
+    # e**-700 is a double, though |z| = 700 is past the series' range at alpha = 1
+    res = ml_eval(MLParams(1.0, 1.0), -700.0)
+    assert res.value.real == pytest.approx(math.exp(-700.0), rel=1e-13)
+    assert abs(res.value.real - math.exp(-700.0)) <= res.err_estimate
+    res = evaluate(MLParams(1.0, 1.0), -3.0, 2.0, 2)
+    want = 4.0 * math.exp(-6.0)
+    assert res.value.real == pytest.approx(want, rel=1e-14)
+    assert abs(res.value.real - want) <= res.err_estimate
+    with pytest.raises(EvaluationError):
+        ml_eval(MLParams(1.0, 1.0), 1000.0)
+    with pytest.raises(DomainError):
+        evaluate(MLParams(1.0, 1.0), -3.0, 2.0, -1)
+
+
 @given(st.floats(min_value=0.3, max_value=1.0),
        st.sampled_from(["1", "alpha", "1.5", "0.7+0.4i"]),
        st.floats(min_value=0.0, max_value=1.0),
