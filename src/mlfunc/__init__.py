@@ -24,6 +24,7 @@ from .bounds import (
 from .contour import (
     ContourSpec,
     RegionClass,
+    admissible_specs,
     classify_region,
     contour_distance,
     contour_path,

@@ -72,6 +72,7 @@ from .contour import (
     RegionClass,
     _cauchy_integral,
     _integrate_gamma,
+    admissible_specs,
     classify_region,
     ml_contour_deriv,
 )
@@ -83,14 +84,15 @@ from .numcore import (
     line_segment,
     principal_arg,
     recip_gamma,
+    require_finite,
 )
 from .series import (
     EvalControls,
     EvalResult,
+    EvaluationError,
     MLParams,
     evaluate,
     ml_eval,
-    ml_series_deriv,
 )
 
 __all__ = [
@@ -575,20 +577,28 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
 
 
 def _route_gap(p: MLParams, lam: complex, t: float, l: int, res: EvalResult,
-               controls: QuadratureControls) -> float:
-    """Disagreement of ``res`` with the route ``evaluate`` did not take.
+               controls: QuadratureControls) -> float | None:
+    """Disagreement of ``res`` with an independent second evaluation.
 
-    Only on the band 0.6 c <= |z| <= c, c = min(9, 200**alpha), where the
-    largest series term stays under exp(200) and both routes are cheap;
-    0 off the band.
+    A contour-routed value is checked against the next admissible path (a
+    different angle or radius, so a different partition and other nodes);
+    a series-routed value against the contour route.  The check runs only
+    on the band 0.6 c <= |z| <= c, c = min(9, 200**alpha), to bound its
+    cost; None off the band.
     """
     cut = min(9.0, 200.0 ** p.alpha)
-    if not 0.6 * cut <= abs(lam) * t ** p.alpha <= cut:
-        return 0.0
-    if res.method == "contour":
-        other = ml_series_deriv(p, lam, t, l)
-    else:
+    z = lam * t ** p.alpha
+    if not 0.6 * cut <= abs(z) <= cut:
+        return None
+    if res.method != "contour":
         other = ml_contour_deriv(p, lam, t, l, controls)
+    else:
+        specs = admissible_specs(p.alpha, z)
+        next(specs)  # the path ``evaluate`` took
+        second = next(specs, None)
+        if second is None:
+            raise EvaluationError("no second admissible path for the route cross-check")
+        other = ml_contour_deriv(p, lam, t, l, controls, spec=second)
     return abs(other.value - res.value)
 
 
@@ -600,10 +610,11 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     """Derivative envelopes |d^l E_alpha| <= M_l/t^a and
     |d^l E_{a,a}| <= M_hat_l/t^(2a) on the exterior side for t >= t0.
 
-    Each value comes from ``evaluate``; on the band where both routes are
-    cheap the other route cross-checks it, and the disagreement enters the
-    error budget.  The report constants include fitted log-log tail slopes
-    per family and order, which should approach -alpha and -2*alpha.
+    Each value comes from ``evaluate``; on a band of |z| an independent
+    second evaluation cross-checks it (``_route_gap``), and the
+    disagreement enters the error budget.  The report constants include
+    fitted log-log tail slopes per family and order, which should approach
+    -alpha and -2*alpha.
     """
     _require_side(ctx, "exterior", "lemma4")
     if l_max < 0:
@@ -616,6 +627,7 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     eval_controls = EvalControls(quad=controls)
     points = []
     max_gap = 0.0
+    n_checked = 0
     series_by_label: dict[str, list[tuple[float, float]]] = {}
     for l in range(l_max + 1):
         for t in ts:
@@ -625,6 +637,10 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
             ):
                 res = evaluate(p, ctx.lam, float(t), l, eval_controls)
                 gap = _route_gap(p, ctx.lam, float(t), l, res, controls)
+                if gap is None:
+                    gap = 0.0
+                else:
+                    n_checked += 1
                 max_gap = max(max_gap, gap / max(abs(res.value), 1e-300))
                 label = f"{fam} l={l}"
                 measured = abs(res.value)
@@ -658,7 +674,9 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
             key = "slope_" + label.lower().replace(" ", "_").replace("=", "")
             constants[key] = slope
     notes = (f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}",
-             f"l_max={l_max}")
+             f"l_max={l_max}",
+             "route cross-check: second path for contour points, contour for "
+             f"series points; {n_checked} points on 0.6c <= |z| <= c")
     return CertificateReport("lemma4", verdict, worst_ratio, worst_t,
                              tuple(points), constants, notes)
 
@@ -759,6 +777,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
     if u_grid is None:
         u_grid = np.linspace(2.0, 30.0, 8)
     u_grid = np.asarray(u_grid, dtype=float)
+    require_finite("u_grid", u_grid)
     if u_grid.ndim != 1 or len(u_grid) < 2 or np.any(np.diff(u_grid) <= 0.0):
         raise DomainError("u_grid must be increasing with at least 2 entries")
 

@@ -56,6 +56,7 @@ from .series import EvalResult, EvaluationError, MLParams
 __all__ = [
     "ContourSpec",
     "RegionClass",
+    "admissible_specs",
     "classify_region",
     "contour_distance",
     "contour_path",
@@ -241,7 +242,15 @@ def _explicit_term(alpha: float, beta: complex, z: complex, order: int = 0) -> c
             "explicit exponential term overflows double precision") from exc
 
 
-def _auto_spec(alpha: float, z: complex) -> ContourSpec:
+def admissible_specs(alpha: float, z: complex):
+    """Yield the paths that keep at least 1e-3 * max(1, |z|) from z, in
+    order of preference: ray angles 0.75, 0.625, 0.875, 0.5625, 0.9375 of
+    alpha*pi, each with radius eps0, eps0/2, 2*eps0 (eps0 = 1, or |z|/2 for
+    1e-12 <= |z| <= 2).
+
+    The first spec is the one the path route takes when no spec is given;
+    the later ones give other partitions and nodes for a cross-check.
+    """
     az = abs(z)
     eps0 = 1.0 if az > 2.0 or az < 1e-12 else az / 2.0
     scale = max(1.0, az)
@@ -250,8 +259,7 @@ def _auto_spec(alpha: float, z: complex) -> ContourSpec:
         for eps in (eps0, 0.5 * eps0, 2.0 * eps0):
             spec = ContourSpec(alpha, theta, eps)
             if contour_distance(spec, z) >= 1e-3 * scale:
-                return spec
-    raise EvaluationError("no admissible path separates the argument")
+                yield spec
 
 
 def ml_contour(p: MLParams, z: complex,
@@ -294,7 +302,9 @@ def _path_route(p: MLParams, lam: complex, t: float, l: int,
     t_alpha = t ** p.alpha
     z = lam * t_alpha
     if spec is None:
-        spec = _auto_spec(p.alpha, z)
+        spec = next(admissible_specs(p.alpha, z), None)
+        if spec is None:
+            raise EvaluationError("no admissible path separates the argument")
     controls = controls or QuadratureControls()
     value, err, panels = _cauchy_integral(spec, p, z, controls, l)
     scale = t_alpha ** l

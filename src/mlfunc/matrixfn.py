@@ -57,6 +57,7 @@ from .numcore import (
     line_segment,
     principal_arg,
     recip_gamma,
+    require_finite,
 )
 from .series import EvalControls, MLParams, evaluate
 
@@ -245,6 +246,11 @@ def decay_check(alpha: float, a, t_grid=None,
     strictly decreasing, and the fitted log-log slope over the last decade
     (the envelopes predict an eventual slope of -alpha).
     """
+    if t_grid is not None:
+        t_grid = np.asarray(t_grid, dtype=float)
+        require_finite("t_grid", t_grid)
+        if t_grid.ndim != 1 or len(t_grid) < 3 or np.any(np.diff(t_grid) <= 0.0):
+            raise DomainError("t_grid must be increasing with at least 3 entries")
     spec = _coerce_spec(a)
     report = spectral_condition(spec, alpha)
     if not report.satisfied:
@@ -255,9 +261,6 @@ def decay_check(alpha: float, a, t_grid=None,
     if t_grid is None:
         t_start = 2.0 * max(ctx.t0 for ctx in ctxs)
         t_grid = np.geomspace(t_start, 1e4 * t_start, 28)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 3 or np.any(np.diff(t_grid) <= 0.0):
-        raise DomainError("t_grid must be increasing with at least 3 entries")
     p1 = MLParams(alpha, 1.0)
     controls = controls or QuadratureControls()
     norm2 = []
@@ -347,6 +350,7 @@ def integral_check(alpha: float, a, t_max: float = 200.0,
     expansion order is chosen to make it smallest, and order 1 is the
     Lemma 4 envelope tail), valid once t_max exceeds every block threshold t0.
     """
+    require_finite("t_max", t_max)
     spec = _coerce_spec(a)
     report = spectral_condition(spec, alpha)
     if not report.satisfied:

@@ -15,13 +15,16 @@ router deal with this:
   of headroom.
 * extended mode ("compensated-series"): the same series summed in adaptive
   multi-precision sized from a cheap log-magnitude scan of the terms.  This
-  is the oracle-grade mode the contour representation is checked against.
+  is the oracle-grade mode the tests check the other routes against.
 * ``evaluate`` is the one place that picks the route of a scalar value.
   With z = lambda t**alpha it sums the series while |z| <= min(4, 200**alpha)
-  and for every z at alpha = 1 (plain first, extended when the plain pass
-  misses the tolerance); beyond that it takes the contour representation.
-  E_{1,1} = exp is taken in closed form.  ``ml_eval`` is its underived case
-  at t = 1.
+  and for every z at alpha = 1.  The plain pass is kept when its error
+  estimate meets the tolerance.  Otherwise alpha < 1 takes the contour
+  representation, which never cancels, and only alpha = 1 and arguments
+  whose imaginary part is below the contour route's resolution fall back
+  to the extended mode.  Beyond the band alpha < 1 takes the contour
+  representation outright.  E_{1,1} = exp is taken in closed form.
+  ``ml_eval`` is its underived case at t = 1.
 
 ``ml_series_deriv`` sums the lambda-derivative series
 
@@ -35,6 +38,7 @@ points share one code path for the underived case.
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -92,7 +96,9 @@ class MLParams:
 class EvalResult:
     value: complex
     err_estimate: float
-    method: str  # "series" | "compensated-series" | "contour"
+    # "series" | "contour" | "compensated-series" (extended mode: only at
+    # alpha = 1, for sub-resolution imaginary parts, or when forced)
+    method: str
     terms_or_panels: int
 
 
@@ -251,6 +257,11 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
 # --------------------------------------------------------------------------
 # public evaluators
 
+def _require_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
+
 def ml_series(p: MLParams, z: complex, tol: float = 1e-12) -> EvalResult:
     """Plain-mode series value of E_{alpha,beta}(z).
 
@@ -259,16 +270,31 @@ def ml_series(p: MLParams, z: complex, tol: float = 1e-12) -> EvalResult:
     rounding floor 100 eps * sum |term|.  The error estimate includes the
     cancellation penalty (largest term) * eps.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    z = complex(z)
-    value, err, n = _series_float(p, 1.0, z, 0, tol)
+    require_finite("z", z)
+    _require_tol(tol)
+    value, err, n = _series_float(p, 1.0, complex(z), 0, tol)
     return EvalResult(value, err, "series", n)
 
 
 def _series_extended(p: MLParams, lam: complex, t: float, l: int) -> EvalResult:
     value, err, n = _series_mp(p, lam, t, l)
     return EvalResult(value, err, "compensated-series", n)
+
+
+def _accepted_plain(plain_pass: Callable[[], EvalResult],
+                    tol: float) -> EvalResult | None:
+    """Run a plain series pass and keep it only if it converges and its own
+    error estimate meets tol relative to the value, else None.
+    Cancellation leaves a near-zero value with an absolute-scale error,
+    which this rule refuses."""
+    try:
+        plain = plain_pass()
+    except SeriesConvergenceError:
+        return None
+    if math.isfinite(plain.err_estimate) and \
+            plain.err_estimate <= tol * max(abs(plain.value), 1e-290):
+        return plain
+    return None
 
 
 def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
@@ -282,8 +308,11 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
     """
     if l < 0 or l != int(l):
         raise DomainError("derivative order must be a nonnegative integer")
+    require_finite("lam", lam)
+    require_finite("t", t)
     if t < 0.0:
         raise DomainError("t must be nonnegative")
+    _require_tol(tol)
     l = int(l)
     lam = complex(lam)
     if t == 0.0:
@@ -307,17 +336,8 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
 
     if extended is False:
         return plain_pass()
-    try:
-        plain = plain_pass()
-    except SeriesConvergenceError:
-        plain = None
-    # auto mode: accept the plain pass only if its own error estimate
-    # clears the tolerance relative to the value (cancellation leaves a
-    # near-zero value with an absolute-scale error), else redo extended
-    if plain is not None and math.isfinite(plain.err_estimate) and \
-            plain.err_estimate <= tol * max(abs(plain.value), 1e-290):
-        return plain
-    return _series_extended(p, lam, t, l)
+    plain = _accepted_plain(plain_pass, tol)
+    return plain if plain is not None else _series_extended(p, lam, t, l)
 
 
 def evaluate(p: MLParams, lam: complex, t: float, l: int,
@@ -325,12 +345,19 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
     """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha), by the
     route this package picks for every scalar value.
 
-    With z = lambda * t**alpha: the series (``ml_series_deriv`` auto mode,
-    which also holds the closed forms at t = 0 and lambda = 0) for
-    |z| <= min(4, 200**alpha) and for every z at alpha = 1, the contour
-    representation (``ml_contour_deriv``) beyond.  The series' largest term
-    is about exp(|z|**(1/alpha)); the 200**alpha cap keeps the extended mode
-    under about 90 digits.  At alpha = beta = 1 the value is the closed form
+    With z = lambda * t**alpha the series band is |z| <= min(4, 200**alpha),
+    and every z at alpha = 1.  On the band the plain series pass is kept
+    when its error estimate meets ``controls.tol`` relative to the value
+    (the closed forms at t = 0 and lambda = 0 always do).  When it misses,
+    alpha = 1 sums in extended precision and alpha < 1 takes the contour
+    representation (``ml_contour_deriv``), as it does everywhere beyond the
+    band.  One exception: at alpha < 1 a z whose nonzero imaginary part is
+    at most ``controls.quad.rel_tol * |z|`` keeps ``ml_series_deriv``'s
+    auto mode, plain then extended.  The contour route forms zeta - z in
+    doubles and loses such an imaginary part, which a complex-step
+    derivative needs.  The series' largest term is about
+    exp(|z|**(1/alpha)); the 200**alpha cap keeps the extended mode under
+    about 90 digits.  At alpha = beta = 1 the value is the closed form
     t**l exp(lambda t), and EvaluationError is raised only where it overflows.
     """
     require_finite("lam", lam)
@@ -350,7 +377,8 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
             raise EvaluationError("exp(lambda t) exceeds the double-precision range")
         return EvalResult(value, 4.0 * _EPS * (1.0 + abs(lam * t)) * abs(value), "series", 1)
     controls = controls or EvalControls()
-    z_mod = abs(lam) * t ** p.alpha
+    t_alpha = t ** p.alpha
+    z_mod = abs(lam) * t_alpha
     if p.alpha == 1.0:
         # the terms are exponential-type and the series converges for every
         # z, but past |z| = 600 its largest term, about e**|z|, nears the
@@ -358,11 +386,18 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
         if z_mod > 600.0:
             raise EvaluationError(
                 "value exceeds the double-precision range for alpha >= 1")
-    elif z_mod > min(4.0, 200.0 ** p.alpha):
-        from .contour import ml_contour_deriv  # deferred: contour builds on this module
+        return ml_series_deriv(p, lam, t, l, controls.tol)
+    if z_mod <= min(4.0, 200.0 ** p.alpha):
+        if 0.0 < abs(complex(lam).imag) * t_alpha <= controls.quad.rel_tol * z_mod:
+            return ml_series_deriv(p, lam, t, l, controls.tol)
+        plain = _accepted_plain(
+            lambda: ml_series_deriv(p, lam, t, l, controls.tol, extended=False),
+            controls.tol)
+        if plain is not None:
+            return plain
+    from .contour import ml_contour_deriv  # deferred: contour builds on this module
 
-        return ml_contour_deriv(p, lam, t, l, controls.quad)
-    return ml_series_deriv(p, lam, t, l, controls.tol)
+    return ml_contour_deriv(p, lam, t, l, controls.quad)
 
 
 def ml_eval(p: MLParams, z: complex, controls: EvalControls | None = None) -> EvalResult:

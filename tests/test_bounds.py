@@ -25,6 +25,7 @@ from mlfunc.bounds import (
     lemma4_constants,
     sector_context,
 )
+from mlfunc.numcore import DomainError
 from mlfunc.series import MLParams, ml_series_deriv
 
 
@@ -255,6 +256,13 @@ def test_limit_check_validates_sector():
         lemma3_limit_check(0.5, -1.0, LIMIT_KERNELS["exp"])
     with pytest.raises(SectorContextError, match="hypothesis violated"):
         lemma3_limit_check(0.5, 1.2 * cmath.exp(0.9j), LIMIT_KERNELS["exp"])
+
+
+@pytest.mark.parametrize("u_grid", [(2.0, math.nan, 6.0), (2.0, 4.0, math.inf)])
+def test_limit_check_rejects_non_finite_grid(u_grid):
+    # a NaN entry once passed the increasing-grid check and was blamed on z
+    with pytest.raises(DomainError, match="argument u_grid must be finite"):
+        lemma3_limit_check(0.5, 2.0, LIMIT_KERNELS["exp"], u_grid=u_grid)
 
 
 def test_limit_check_errors_shrink_with_u():

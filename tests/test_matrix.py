@@ -229,6 +229,19 @@ def test_integral_check_rejects_bad_sector():
         integral_check(0.5, spec, t_max=50.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda spec: integral_check(0.5, spec, t_max=math.inf), "t_max"),
+    (lambda spec: integral_check(0.5, spec, t_max=math.nan), "t_max"),
+    (lambda spec: decay_check(0.5, spec, t_grid=[5.0, math.nan, 50.0, 500.0]), "t_grid"),
+    (lambda spec: decay_check(0.5, spec, t_grid=[5.0, 50.0, math.inf]), "t_grid"),
+], ids=["t_max-inf", "t_max-nan", "t_grid-nan", "t_grid-inf"])
+def test_matrix_checks_reject_non_finite_horizons(call, name):
+    # a NaN grid entry once passed the increasing-grid check, and an
+    # infinite t_max failed only inside the quadrature, as "argument t"
+    with pytest.raises(DomainError, match=f"argument {name} must be finite"):
+        call(JordanSpec(blocks=((-1.0, 1),)))
+
+
 @pytest.mark.parametrize("alpha, blocks, t_cut, t_far", [
     (0.5, ((-1.0, 2),), 50.0, 800.0),
     (0.7, ((-2.0, 3), (cmath.exp(0.8j * math.pi), 2)), 10.0, 200.0),

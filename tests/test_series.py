@@ -9,6 +9,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlfunc import series as series_module
 from mlfunc.numcore import DomainError, recip_gamma
 from mlfunc.series import (
     EvaluationError,
@@ -131,17 +132,52 @@ def test_plain_mode_tag_on_benign_input():
 
 
 def test_upgrade_on_cancellation():
-    # inside the series band but alternating enough that plain precision fails
+    # inside the series band but alternating enough that plain precision
+    # fails; below alpha = 1 the contour route takes over
     res = ml_eval(MLParams(0.5, 1.0), -3.5)
-    assert res.method == "compensated-series"
-    assert res.value.real == pytest.approx(
-        math.exp(12.25) * sp.erfc(3.5), rel=1e-11)
+    want = math.exp(12.25) * sp.erfc(3.5)
+    assert res.method == "contour"
+    assert res.value.real == pytest.approx(want, rel=1e-11)
+    assert abs(res.value - want) <= res.err_estimate
     # past the band the contour route takes over
     res = ml_eval(MLParams(0.5, 1.0), -8.0)
     want = math.exp(64.0) * sp.erfc(8.0)
     assert res.method == "contour"
     assert res.value.real == pytest.approx(want, rel=1e-11)
     assert abs(res.value - want) <= res.err_estimate
+
+
+def test_sub_resolution_imaginary_part_keeps_the_series():
+    # the contour route forms zeta - z in doubles and would lose an
+    # imaginary part of 1e-150; the complex step below needs it
+    p = MLParams(0.5, 1.0)
+    res = evaluate(p, complex(-2.0, 1e-150), 1.0, 0)
+    assert res.method == "compensated-series"
+    want = ml_series_deriv(p, -2.0, 1.0, 1).value.real
+    assert res.value.imag / 1e-150 == pytest.approx(want, rel=1e-8)
+    assert evaluate(p, -2.0, 1.0, 0).method == "contour"
+
+
+def test_no_extended_series_below_alpha_one_on_the_band(monkeypatch):
+    # every plain-series miss below alpha = 1 must go to the contour route
+    def refuse(*args):
+        raise AssertionError("extended series called")
+
+    monkeypatch.setattr(series_module, "_series_mp", refuse)
+    rng = np.random.default_rng(7)
+    methods = set()
+    for _ in range(200):
+        alpha = rng.uniform(0.2, 0.98)
+        beta = rng.choice([1.0, alpha, 1.5, complex(0.7, 0.4)])
+        r = rng.uniform(0.0, 1.0) * min(4.0, 200.0 ** alpha)
+        z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        if rng.uniform() < 0.5:
+            z = complex(r * rng.choice([-1.0, 1.0]))
+        t = rng.uniform(0.25, 4.0)
+        res = evaluate(MLParams(alpha, beta), z / t ** alpha, t, int(rng.integers(0, 4)))
+        assert math.isfinite(abs(res.value))
+        methods.add(res.method)
+    assert methods == {"series", "contour"}
 
 
 def test_contour_dispatch_beyond_series_range():
@@ -309,3 +345,22 @@ def test_eval_rejects_non_finite_argument(z):
     # message about the contour radius (nan)
     with pytest.raises(DomainError, match="argument z must be finite"):
         ml_eval(MLParams(0.6, 1.0), z)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: ml_series(p, math.nan), "argument z must be finite"),
+    (lambda p: ml_series(p, complex(1.0, math.inf)), "argument z must be finite"),
+    (lambda p: ml_series(p, 1.0, tol=math.nan), "tol must be positive and finite"),
+    (lambda p: ml_series(p, 1.0, tol=0.0), "tol must be positive and finite"),
+    (lambda p: ml_series_deriv(p, math.nan, 1.0, 1), "argument lam must be finite"),
+    (lambda p: ml_series_deriv(p, -1.0, math.nan, 1), "argument t must be finite"),
+    (lambda p: ml_series_deriv(p, -1.0, math.inf, 0), "argument t must be finite"),
+    (lambda p: ml_series_deriv(p, -1.0, 1.0, 2, tol=math.inf),
+     "tol must be positive and finite"),
+], ids=["z-nan", "z-inf-imag", "tol-nan", "tol-zero", "lam-nan", "t-nan", "t-inf",
+        "deriv-tol-inf"])
+def test_series_rejects_non_finite_input(call, message):
+    # once failed as an overflowed term, an undecaying term profile, or
+    # after all 10 000 terms of the plain pass (tol = nan)
+    with pytest.raises(DomainError, match=message):
+        call(MLParams(0.6, 1.0))
