@@ -54,13 +54,17 @@ and (N)_j is the rising factorial.  I_1 = I1, so N = 1 reproduces M_hat_l;
 
 ``certify_*`` measure the left sides on a geometric t-grid by routes that
 never subtract the large exponential (the remainder IS a path integral and
-is integrated directly) and compare against the envelopes, producing
-PASS / FAIL / INCONCLUSIVE verdicts that account for numerical error.
+is integrated directly; on the exterior side the function itself is one)
+and compare against the envelopes, producing PASS / FAIL / INCONCLUSIVE
+verdicts that account for numerical error.  Every grid point of a
+certificate, per family and derivative order, comes from one batched path
+integral.
 ``lemma3_limit_check`` validates the averaged-kernel limit that motivates
 the envelopes.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -86,14 +90,7 @@ from .numcore import (
     recip_gamma,
     require_finite,
 )
-from .series import (
-    EvalControls,
-    EvalResult,
-    EvaluationError,
-    MLParams,
-    evaluate,
-    ml_eval,
-)
+from .series import EvalControls, MLParams, ml_eval
 
 __all__ = [
     "SectorContextError",
@@ -369,7 +366,7 @@ def lemma4_constants(ctx: SectorContext, l_max: int,
 # --------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificatePoint:
     t: float
     measured: float
@@ -389,9 +386,11 @@ class CertificateReport:
     notes: tuple[str, ...] = ()
 
 
-def _verdict(points) -> tuple[str, float, float]:
-    """FAIL when a measurement exceeds its envelope beyond numerical error;
-    INCONCLUSIVE when the error budget is too coarse to certify a pass."""
+def _report(name: str, ctx: SectorContext, points: list[CertificatePoint],
+            constants: dict, *notes: str) -> CertificateReport:
+    """The report on ``points``: FAIL when a measurement exceeds its
+    envelope beyond numerical error, INCONCLUSIVE when the error budget is
+    too coarse to certify a pass, else PASS."""
     worst_ratio = 0.0
     worst_t = math.nan
     failed = False
@@ -405,11 +404,10 @@ def _verdict(points) -> tuple[str, float, float]:
             failed = True
         if pt.err > 0.1 * pt.allowed or ratio > 1.0:
             murky = True
-    if failed:
-        return "FAIL", worst_ratio, worst_t
-    if murky:
-        return "INCONCLUSIVE", worst_ratio, worst_t
-    return "PASS", worst_ratio, worst_t
+    verdict = "FAIL" if failed else "INCONCLUSIVE" if murky else "PASS"
+    notes = (f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}") + notes
+    return CertificateReport(name, verdict, worst_ratio, worst_t, tuple(points),
+                             constants, notes)
 
 
 def _interior_eval_spec(ctx: SectorContext) -> ContourSpec:
@@ -458,34 +456,40 @@ def _lemma2_envelope(consts: Lemma2Constants, harmonized: bool,
     return m, constants
 
 
-def _certify_remainder(name: str, ctx: SectorContext, beta: complex,
-                       t_weight: float, allowed_power: float,
-                       n_points: int, t_max_factor: float,
-                       controls: QuadratureControls | None,
-                       constant_scale: float, err_inflate: float,
-                       harmonized: bool) -> CertificateReport:
-    """Shared core of certificates (i) and (ii).
+def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
+                    t_weight: float, allowed_power: float,
+                    n_points: int, t_max_factor: float,
+                    controls: QuadratureControls | None,
+                    constant_scale: float, err_inflate: float,
+                    harmonized: bool) -> CertificateReport:
+    """Shared core of the Lemma 2 certificates.
 
-    The measured quantity is t**t_weight * |I(z)| with I the path integral
-    remainder at z = lambda t^alpha in G+, compared against
-    constant_scale * m / t**allowed_power.  The remainders at all grid
-    points come from one batched path integral.
+    The measured quantity is t**t_weight * |v| at z = lambda t^alpha,
+    compared against constant_scale * m / t**allowed_power.  On the interior
+    side v is the path-integral remainder I(z) with z in G+, so the large
+    exponential is never subtracted; on the exterior side v is
+    E_{alpha,beta}(z) itself by the path route.  Either way the values at
+    all grid points come from one batched path integral.
     """
-    _require_side(ctx, "interior", name)
+    _require_side(ctx, side, name)
     controls = controls or _CERT_QUAD
     consts = lemma2_constants(ctx, controls)
     m, constants = _lemma2_envelope(consts, harmonized, constant_scale)
-    spec = _interior_eval_spec(ctx)
     p = MLParams(ctx.alpha, beta)
     ts = _t_grid(consts.t0, t_max_factor, n_points)
-    zs = [ctx.lam * t ** ctx.alpha for t in ts]
-    if any(classify_region(spec, z) is not RegionClass.G_PLUS for z in zs):
-        raise SectorContextError(
-            "hypothesis violated: lambda t^alpha left G+ of the "
-            "evaluation path")
-    values, errs, _ = _cauchy_integral(spec, p, np.array(zs), controls, 0)
+    if side == "interior":
+        spec = _interior_eval_spec(ctx)
+        zs = [ctx.lam * t ** ctx.alpha for t in ts]
+        if any(classify_region(spec, z) is not RegionClass.G_PLUS for z in zs):
+            raise SectorContextError(
+                "hypothesis violated: lambda t^alpha left G+ of the "
+                "evaluation path")
+        values, errs, _ = _cauchy_integral(spec, p, np.array(zs), controls, 0)
+    else:
+        res = ml_contour_deriv(p, ctx.lam, ts, 0, controls)
+        values, errs = res.value, res.err_estimate
     points = []
-    for t, value, err in zip(ts, values, errs):
+    for t, value, err in zip(ts.tolist(), values.tolist(), errs.tolist()):
         weight = t ** t_weight
         points.append(CertificatePoint(
             t=float(t),
@@ -493,12 +497,8 @@ def _certify_remainder(name: str, ctx: SectorContext, beta: complex,
             allowed=m / t ** allowed_power,
             err=err * weight * err_inflate,
         ))
-    verdict, worst_ratio, worst_t = _verdict(points)
-    notes = [f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}"]
-    if harmonized:
-        notes.append("harmonized 1/pi variant of the second m component")
-    return CertificateReport(name, verdict, worst_ratio, worst_t,
-                             tuple(points), constants, tuple(notes))
+    notes = ("harmonized 1/pi variant of the second m component",) if harmonized else ()
+    return _report(name, ctx, points, constants, *notes)
 
 
 def certify_lemma2_i(ctx: SectorContext, n_points: int = 40,
@@ -511,9 +511,9 @@ def certify_lemma2_i(ctx: SectorContext, n_points: int = 40,
     The left side is measured as the path-integral remainder directly, so no
     large exponentials are ever subtracted.
     """
-    return _certify_remainder("lemma2-i", ctx, 1.0, 0.0, ctx.alpha,
-                              n_points, t_max_factor, controls,
-                              constant_scale, err_inflate, harmonized)
+    return _certify_lemma2("lemma2-i", "interior", ctx, 1.0, 0.0, ctx.alpha,
+                           n_points, t_max_factor, controls,
+                           constant_scale, err_inflate, harmonized)
 
 
 def certify_lemma2_ii(ctx: SectorContext, n_points: int = 40,
@@ -523,10 +523,10 @@ def certify_lemma2_ii(ctx: SectorContext, n_points: int = 40,
                       harmonized: bool = False) -> CertificateReport:
     """|t^(a-1) E_{a,a}(lambda t^a) - (1/a) lambda^((1-a)/a) e^(lambda^(1/a) t)|
     <= m / t^(a+1) on t >= t0, measured as t^(a-1) times the remainder integral."""
-    report = _certify_remainder("lemma2-ii", ctx, complex(ctx.alpha),
-                                ctx.alpha - 1.0, ctx.alpha + 1.0,
-                                n_points, t_max_factor, controls,
-                                constant_scale, err_inflate, harmonized)
+    report = _certify_lemma2("lemma2-ii", "interior", ctx, complex(ctx.alpha),
+                             ctx.alpha - 1.0, ctx.alpha + 1.0,
+                             n_points, t_max_factor, controls,
+                             constant_scale, err_inflate, harmonized)
     # same inequality in the z variable: |E_{a,a}(z) - explicit| <= C/|z|^2
     # with C = I1/(2 a pi sin(theta0)); identical measurements, rescaled
     c_z = report.constants["i1"] / (
@@ -551,55 +551,14 @@ def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
                        harmonized: bool = False) -> CertificateReport:
     """|t^(a-1) E_{a,a}(lambda t^a)| <= m / t^(a+1) for exterior lambda, t >= t0.
 
-    Here the function itself is small, so it is evaluated directly (series
-    or path route picked by ``evaluate``) and weighted by t^(a-1).
+    Here the function itself is small, so it is measured directly, by the
+    path route at every grid point in one batched path integral, and
+    weighted by t^(a-1).
     """
-    _require_side(ctx, "exterior", "lemma2-iii")
-    controls = controls or _CERT_QUAD
-    consts = lemma2_constants(ctx, controls)
-    m, constants = _lemma2_envelope(consts, harmonized, constant_scale)
-    p = MLParams(ctx.alpha, complex(ctx.alpha))
-    eval_controls = EvalControls(tol=1e-13, quad=controls)
-    points = []
-    for t in _t_grid(consts.t0, t_max_factor, n_points):
-        res = ml_eval(p, ctx.lam * t ** ctx.alpha, eval_controls)
-        weight = t ** (ctx.alpha - 1.0)
-        points.append(CertificatePoint(
-            t=float(t),
-            measured=abs(res.value) * weight,
-            allowed=m / t ** (ctx.alpha + 1.0),
-            err=res.err_estimate * weight * err_inflate,
-        ))
-    verdict, worst_ratio, worst_t = _verdict(points)
-    notes = (f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}")
-    return CertificateReport("lemma2-iii", verdict, worst_ratio, worst_t,
-                             tuple(points), constants, notes)
-
-
-def _route_gap(p: MLParams, lam: complex, t: float, l: int, res: EvalResult,
-               controls: QuadratureControls) -> float | None:
-    """Disagreement of ``res`` with an independent second evaluation.
-
-    A contour-routed value is checked against the next admissible path (a
-    different angle or radius, so a different partition and other nodes);
-    a series-routed value against the contour route.  The check runs only
-    on the band 0.6 c <= |z| <= c, c = min(9, 200**alpha), to bound its
-    cost; None off the band.
-    """
-    cut = min(9.0, 200.0 ** p.alpha)
-    z = lam * t ** p.alpha
-    if not 0.6 * cut <= abs(z) <= cut:
-        return None
-    if res.method != "contour":
-        other = ml_contour_deriv(p, lam, t, l, controls)
-    else:
-        specs = admissible_specs(p.alpha, z)
-        next(specs)  # the path ``evaluate`` took
-        second = next(specs, None)
-        if second is None:
-            raise EvaluationError("no second admissible path for the route cross-check")
-        other = ml_contour_deriv(p, lam, t, l, controls, spec=second)
-    return abs(other.value - res.value)
+    return _certify_lemma2("lemma2-iii", "exterior", ctx, complex(ctx.alpha),
+                           ctx.alpha - 1.0, ctx.alpha + 1.0,
+                           n_points, t_max_factor, controls,
+                           constant_scale, err_inflate, harmonized)
 
 
 def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
@@ -610,9 +569,12 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     """Derivative envelopes |d^l E_alpha| <= M_l/t^a and
     |d^l E_{a,a}| <= M_hat_l/t^(2a) on the exterior side for t >= t0.
 
-    Each value comes from ``evaluate``; on a band of |z| an independent
-    second evaluation cross-checks it (``_route_gap``), and the
-    disagreement enters the error budget.  The report constants include
+    The grid lies on the ray arg(lambda) beyond its first point, so the
+    first two paths ``admissible_specs`` yields there clear every grid
+    point.  Each family and order is measured at all grid points by one
+    batched path integral on the first path and cross-checked by one on the
+    second (another angle or radius, so another partition and other nodes);
+    the disagreement enters the error budget.  The report constants include
     fitted log-log tail slopes per family and order, which should approach
     -alpha and -2*alpha.
     """
@@ -621,38 +583,35 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
         raise DomainError("l_max must be nonnegative")
     controls = controls or _CERT_QUAD
     consts = lemma4_constants(ctx, l_max, controls)
-    p1 = MLParams(ctx.alpha, 1.0)
-    paa = MLParams(ctx.alpha, complex(ctx.alpha))
     ts = _t_grid(consts.t0, t_max_factor, n_points)
-    eval_controls = EvalControls(quad=controls)
+    first, second = itertools.islice(
+        admissible_specs(ctx.alpha, ctx.lam * ts[0] ** ctx.alpha), 2)
+    families = (("E1", MLParams(ctx.alpha, 1.0), consts.m_l, ctx.alpha),
+                ("EAA", MLParams(ctx.alpha, complex(ctx.alpha)), consts.m_hat_l,
+                 2.0 * ctx.alpha))
     points = []
     max_gap = 0.0
-    n_checked = 0
-    series_by_label: dict[str, list[tuple[float, float]]] = {}
+    measured_by_label = {}
     for l in range(l_max + 1):
-        for t in ts:
-            for fam, p, const, power in (
-                ("E1", p1, consts.m_l[l], ctx.alpha),
-                ("EAA", paa, consts.m_hat_l[l], 2.0 * ctx.alpha),
-            ):
-                res = evaluate(p, ctx.lam, float(t), l, eval_controls)
-                gap = _route_gap(p, ctx.lam, float(t), l, res, controls)
-                if gap is None:
-                    gap = 0.0
-                else:
-                    n_checked += 1
-                max_gap = max(max_gap, gap / max(abs(res.value), 1e-300))
-                label = f"{fam} l={l}"
-                measured = abs(res.value)
+        columns = []
+        for fam, p, const, power in families:
+            res = ml_contour_deriv(p, ctx.lam, ts, l, controls, spec=first)
+            other = ml_contour_deriv(p, ctx.lam, ts, l, controls, spec=second)
+            gap = np.abs(other.value - res.value)
+            max_gap = max(max_gap, float(np.max(gap / np.maximum(np.abs(res.value), 1e-300))))
+            label = f"{fam} l={l}"
+            measured_by_label[label] = np.abs(res.value)
+            columns.append((label, const[l], power, measured_by_label[label],
+                            (res.err_estimate + gap) * err_inflate))
+        for i, t in enumerate(ts):
+            for label, const, power, measured, err in columns:
                 points.append(CertificatePoint(
                     t=float(t),
-                    measured=measured,
+                    measured=float(measured[i]),
                     allowed=constant_scale * const / t ** power,
-                    err=(res.err_estimate + gap) * err_inflate,
+                    err=float(err[i]),
                     label=label,
                 ))
-                series_by_label.setdefault(label, []).append((float(t), measured))
-    verdict, worst_ratio, worst_t = _verdict(points)
     constants = {
         "t0": consts.t0,
         "i0": consts.i0,
@@ -664,21 +623,15 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
         constants[f"m_{l}"] = consts.m_l[l]
         constants[f"m_hat_{l}"] = consts.m_hat_l[l]
     # tail slopes from the last decade of the grid
-    t_cut = ts[-1] / 10.0
-    for label, pairs in series_by_label.items():
-        tail = [(t, v) for t, v in pairs if t >= t_cut and v > 0.0]
-        if len(tail) >= 3:
-            logs = np.log([t for t, _ in tail])
-            vals = np.log([v for _, v in tail])
-            slope = float(np.polyfit(logs, vals, 1)[0])
+    for label, measured in measured_by_label.items():
+        tail = (ts >= ts[-1] / 10.0) & (measured > 0.0)
+        if np.count_nonzero(tail) >= 3:
+            slope = float(np.polyfit(np.log(ts[tail]), np.log(measured[tail]), 1)[0])
             key = "slope_" + label.lower().replace(" ", "_").replace("=", "")
             constants[key] = slope
-    notes = (f"side={ctx.side}", f"theta={ctx.theta}", f"theta0={ctx.theta0}",
-             f"l_max={l_max}",
-             "route cross-check: second path for contour points, contour for "
-             f"series points; {n_checked} points on 0.6c <= |z| <= c")
-    return CertificateReport("lemma4", verdict, worst_ratio, worst_t,
-                             tuple(points), constants, notes)
+    return _report("lemma4", ctx, points, constants, f"l_max={l_max}",
+                   f"path cross-check: every point also on theta={second.theta}, "
+                   f"eps={second.eps}")
 
 
 # --------------------------------------------------------------------------
@@ -767,6 +720,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
     """
     if not (0.0 < alpha < 1.0):
         raise SectorContextError("hypothesis violated: alpha must lie in (0, 1)")
+    require_finite("lam", lam)
     lam = complex(lam)
     if lam == 0:
         raise SectorContextError("hypothesis violated: lambda must be nonzero")

@@ -112,16 +112,13 @@ def contour_distance(spec: ContourSpec, z: complex) -> float:
     return min(dists)
 
 
-def classify_region(spec: ContourSpec, z: complex, margin: float | None = None) -> RegionClass:
-    """G+/G- classification with a near-path guard band.
-
-    ``margin`` defaults to 1e-6 * max(1, |z|); anything closer to the path
-    than that is reported NEAR_CONTOUR instead of either region.
+def classify_region(spec: ContourSpec, z: complex) -> RegionClass:
+    """G+/G- classification with a near-path guard band: anything closer to
+    the path than 1e-6 * max(1, |z|) is reported NEAR_CONTOUR instead of
+    either region.
     """
     z = complex(z)
-    if margin is None:
-        margin = 1e-6 * max(1.0, abs(z))
-    if contour_distance(spec, z) < margin:
+    if contour_distance(spec, z) < 1e-6 * max(1.0, abs(z)):
         return RegionClass.NEAR_CONTOUR
     if z != 0 and abs(z) > spec.eps and abs(principal_arg(z)) < spec.theta:
         return RegionClass.G_PLUS
@@ -276,7 +273,7 @@ def ml_contour(p: MLParams, z: complex,
     return _path_route(p, complex(z), 1.0, 0, controls, spec)
 
 
-def ml_contour_deriv(p: MLParams, lam: complex, t: float, l: int,
+def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
                      controls: QuadratureControls | None = None,
                      spec: ContourSpec | None = None) -> EvalResult:
     """l-th lambda-derivative of E_{alpha,beta}(lambda t**alpha) by the path route.
@@ -284,25 +281,39 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float, l: int,
     Differentiating under the integral sign multiplies the Cauchy kernel up
     to l! / (zeta - z)**(l+1) and scales by t**(alpha*l); the explicit G+
     term is differentiated in closed form.
+
+    ``t`` is one time or a 1-D array of them.  An array gives an EvalResult
+    whose value and err_estimate are arrays, from one batched path integral
+    on one spec (its panels are the shared partition).  The arguments
+    lambda t**alpha then lie on one ray, so the default spec, the first one
+    admissible at the smallest |z|, clears every one of them.
     """
     if l < 0 or l != int(l):
         raise DomainError("derivative order must be a nonnegative integer")
     require_finite("lam", lam)
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        if t.ndim != 1 or not t.size:
+            raise DomainError("t must be a number or a nonempty 1-D array")
+        t_min = t.min()
+    else:
+        t = t_min = float(t)
     require_finite("t", t)
-    if t <= 0.0:
+    if t_min <= 0.0:
         raise DomainError("the path route needs t > 0")
     return _path_route(p, complex(lam), t, int(l), controls, spec)
 
 
-def _path_route(p: MLParams, lam: complex, t: float, l: int,
+def _path_route(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
                 controls: QuadratureControls | None,
                 spec: ContourSpec | None) -> EvalResult:
     """The path route of ``ml_contour`` and ``ml_contour_deriv`` on their
-    validated arguments."""
+    validated arguments; an array ``t`` makes one batched integral."""
     t_alpha = t ** p.alpha
     z = lam * t_alpha
     if spec is None:
-        spec = next(admissible_specs(p.alpha, z), None)
+        z_near = lam * t_alpha.min() if isinstance(t, np.ndarray) else z
+        spec = next(admissible_specs(p.alpha, z_near), None)
         if spec is None:
             raise EvaluationError("no admissible path separates the argument")
     controls = controls or QuadratureControls()
@@ -310,6 +321,18 @@ def _path_route(p: MLParams, lam: complex, t: float, l: int,
     scale = t_alpha ** l
     value *= scale
     err *= scale
+    if isinstance(t, np.ndarray):
+        for j, zj in enumerate(z.tolist()):
+            value[j], err[j] = _add_explicit(spec, p, zj, l, scale[j], value[j], err[j])
+    else:
+        value, err = _add_explicit(spec, p, z, l, scale, value, err)
+    return EvalResult(value, err, "contour", panels)
+
+
+def _add_explicit(spec: ContourSpec, p: MLParams, z: complex, l: int,
+                  scale: float, value: complex, err: float):
+    """(value, err) of the path integral at z, with the explicit term and its
+    error bar added when z lies in G+ of ``spec``."""
     if classify_region(spec, z) is RegionClass.G_PLUS:
         expl = _explicit_term(p.alpha, p.beta, z, order=l) * scale
         value += expl
@@ -319,7 +342,7 @@ def _path_route(p: MLParams, lam: complex, t: float, l: int,
         w_mod = abs(z) ** (1.0 / p.alpha)
         log_mod = abs(cmath.log(z))
         err += 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / p.alpha)) * abs(expl)
-    return EvalResult(value, err, "contour", panels)
+    return value, err
 
 
 def recip_gamma_via_contour(alpha: float, b: complex,

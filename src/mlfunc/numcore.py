@@ -8,7 +8,7 @@ This module collects the low-level numerics everything else is built on:
   reciprocal is the primary form so the poles of Gamma map to exact zeros.
 * ``integrate_path``             -- adaptive Gauss-Kronrod (7,15) panels over
   parametrized paths in the complex plane, with truncation of infinite ray
-  tails once the integrand has dropped below a configurable threshold.
+  tails once the integrand has dropped 18 orders below its peak.
   The integrand may return n rows of values on the same nodes; all rows
   then share one adaptive partition, and each row keeps its own error
   estimate, stopping target and tail threshold.
@@ -19,7 +19,7 @@ of scope here.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -62,30 +62,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureControls:
-    """Stopping and truncation parameters for ``integrate_path``.
+    """Stopping parameters for ``integrate_path``.
 
     rel_tol / abs_tol  combined target: iteration stops once the summed
                        panel error is below max(abs_tol, rel_tol*|result|),
                        for every integrand row against its own result.
     max_panels         hard cap on the number of panels before giving up;
                        panels are shared by all rows.
-    truncation_drop    infinite ray tails are cut once the local integrand
-                       magnitude falls below truncation_drop * peak, for
-                       every row against its own peak.
     """
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_panels: int = 4096
-    truncation_drop: float = 1e-18
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol >= 0.0):
             raise DomainError("tolerances must be positive")
         if self.max_panels < 2:
             raise DomainError("max_panels must be at least 2")
-        if not 0.0 < self.truncation_drop < 1.0:
-            raise DomainError("truncation_drop must lie in (0, 1)")
 
 
 DEFAULT_CONTROLS = QuadratureControls()
@@ -304,14 +298,17 @@ def _eval_panel(f, seg: PathSegment, a: float, b: float, arclength: bool):
 
 
 _MAX_TAIL_BLOCKS = 64
+# an infinite ray tail is cut once the local integrand magnitude falls below
+# this fraction of its peak, for every row against its own peak
+_TRUNCATION_DROP = 1e-18
 
 
-def _seed_panels(f, seg: PathSegment, controls: QuadratureControls, arclength: bool):
+def _seed_panels(f, seg: PathSegment, arclength: bool):
     """Initial evaluated panels of one segment; truncates an infinite tail.
 
     Returns a list of ((seg, a, b), _eval_panel result).  A ray is laid out
     in doubling blocks until every integrand has dropped below
-    truncation_drop times its own peak; each block is evaluated once and
+    _TRUNCATION_DROP times its own peak; each block is evaluated once and
     becomes a panel.
     """
     if math.isfinite(seg.s1):
@@ -326,7 +323,7 @@ def _seed_panels(f, seg: PathSegment, controls: QuadratureControls, arclength: b
         panels.append(((seg, start, end), evaluated))
         block_peak = evaluated[1]
         peak = np.maximum(peak, block_peak)
-        if len(panels) >= 2 and np.all(block_peak <= controls.truncation_drop * peak):
+        if len(panels) >= 2 and np.all(block_peak <= _TRUNCATION_DROP * peak):
             return panels
         start = end
         length *= 2.0
@@ -358,8 +355,8 @@ def integrate_path(
     max(abs_tol, rel_tol*|total_j|, 100*eps*sum|f_j|); the loop ends when
     every integrand has converged, and each step bisects the panel with the
     largest err_ij / target_j over the integrands still open.  A ray tail
-    is cut once every integrand has dropped below ``truncation_drop`` times
-    its own peak.  ``max_panels`` counts shared panels.
+    is cut once every integrand has dropped below 1e-18 times its own
+    peak.  ``max_panels`` counts shared panels.
 
     Returns ``(value, error_estimate)``: scalars for a 1-D integrand, arrays
     of length n otherwise.  Raises :class:`QuadratureError` (carrying the
@@ -372,7 +369,7 @@ def integrate_path(
         raise DomainError("empty path")
 
     seeds = [panel for seg in segments
-             for panel in _seed_panels(f, seg, controls, arclength)]
+             for panel in _seed_panels(f, seg, arclength)]
     _, (_, peak, single) = seeds[0]
     n = len(peak)
     # table row r is panel r's packed _eval_panel row; acc holds the running

@@ -25,8 +25,10 @@ from mlfunc.bounds import (
     lemma4_constants,
     sector_context,
 )
+import mlfunc.bounds as bounds
+import mlfunc.contour as contour
 from mlfunc.numcore import DomainError
-from mlfunc.series import MLParams, ml_series_deriv
+from mlfunc.series import MLParams, evaluate, ml_series_deriv
 
 
 # ------------------------------------------------------------------ context
@@ -216,6 +218,74 @@ def test_lemma4_rejects_interior_context():
         certify_lemma4(ctx)
 
 
+# the gate's exterior contexts (criteria 4 and 5) and one where the
+# measuring path puts the grid in G+, so the explicit term enters
+_EXTERIOR = [
+    sector_context(0.6, -1.0),
+    sector_context(0.4, cmath.exp(0.9j * math.pi)),
+    sector_context(0.8, cmath.exp(0.75j * math.pi)),
+    sector_context(0.5, cmath.exp(0.26j * math.pi)),
+]
+
+
+@pytest.mark.parametrize("ctx", _EXTERIOR)
+def test_exterior_certificates_agree_with_scalar_evaluate(ctx):
+    paa = MLParams(ctx.alpha, complex(ctx.alpha))
+    p1 = MLParams(ctx.alpha, 1.0)
+    iii = certify_lemma2_iii(ctx, n_points=12, t_max_factor=100.0)
+    for pt in iii.points:
+        weight = pt.t ** (ctx.alpha - 1.0)
+        ref = evaluate(paa, ctx.lam, pt.t, 0)
+        assert abs(pt.measured - abs(ref.value) * weight) <= \
+            pt.err + ref.err_estimate * weight, pt.t
+    rep = certify_lemma4(ctx, l_max=2, n_points=8, t_max_factor=100.0)
+    fams = {"E1": p1, "EAA": paa}
+    for pt in rep.points:
+        fam, l = pt.label.split(" l=")
+        ref = evaluate(fams[fam], ctx.lam, pt.t, int(l))
+        assert abs(pt.measured - abs(ref.value)) <= pt.err + ref.err_estimate, \
+            (pt.t, pt.label)
+
+
+def test_g_plus_exterior_context_measures_through_the_explicit_term():
+    # at arg lambda = 0.26 pi, alpha = 0.5 the first admissible path has
+    # rays at 0.375 pi, so the whole grid lies in G+ of it
+    ctx = _EXTERIOR[-1]
+    z0 = ctx.lam * ctx.t0 ** ctx.alpha
+    spec = next(contour.admissible_specs(ctx.alpha, z0))
+    assert contour.classify_region(spec, z0) is contour.RegionClass.G_PLUS
+    rep = certify_lemma4(ctx, l_max=1, n_points=8, t_max_factor=100.0)
+    assert rep.verdict == "PASS"
+
+
+def test_exterior_certificates_make_one_batched_integral_per_family_order_path(
+        monkeypatch):
+    # criterion 5's input: no scalar route, one array integral per
+    # (family, order, path) for lemma4 and one for lemma2-iii
+    calls = []
+    batched = contour._cauchy_integral
+
+    def counted(spec, p, z, controls, order):
+        calls.append(np.shape(z))
+        return batched(spec, p, z, controls, order)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("scalar evaluation in an exterior certificate")
+
+    monkeypatch.setattr(contour, "_cauchy_integral", counted)
+    monkeypatch.setattr("mlfunc.series.evaluate", refused)
+    monkeypatch.setattr(bounds, "ml_eval", refused)
+    ctx = sector_context(0.8, cmath.exp(0.75j * math.pi))
+    rep = certify_lemma4(ctx, l_max=2, n_points=24, t_max_factor=100.0)
+    assert rep.verdict == "PASS"
+    assert calls == [(24,)] * 12
+    calls.clear()
+    rep = certify_lemma2_iii(ctx, n_points=40, t_max_factor=200.0)
+    assert rep.verdict == "PASS"
+    assert calls == [(40,)]
+    assert not hasattr(bounds, "_route_gap")
+
+
 def test_certificate_grid_is_recorded():
     ctx = sector_context(0.6, -1.0)
     rep = certify_lemma2_iii(ctx, n_points=9, t_max_factor=30.0)
@@ -256,6 +326,26 @@ def test_limit_check_validates_sector():
         lemma3_limit_check(0.5, -1.0, LIMIT_KERNELS["exp"])
     with pytest.raises(SectorContextError, match="hypothesis violated"):
         lemma3_limit_check(0.5, 1.2 * cmath.exp(0.9j), LIMIT_KERNELS["exp"])
+
+
+@pytest.mark.parametrize("lam", [math.nan, complex(math.nan, 0.0), complex(1.0, math.inf)])
+def test_limit_check_rejects_non_finite_lambda(lam):
+    # a NaN lambda once slipped past the sector tests into the quadrature
+    with pytest.raises(DomainError, match="argument lam must be finite"):
+        lemma3_limit_check(0.5, lam, LIMIT_KERNELS["exp"])
+
+
+def test_limit_check_evaluator_branch(monkeypatch):
+    # |lambda u^a|**(1/a) cancels about 3.1 digits in a plain sum at u = 6,
+    # past the 2.5 the ratio series takes, so E comes from ml_eval
+    def refused(*args):
+        raise AssertionError("the ratio series ran")
+
+    monkeypatch.setattr(bounds, "_series_by_ratios", refused)
+    lam = 1.2 * cmath.exp(0.7j)
+    rep = lemma3_limit_check(0.5, lam, LIMIT_KERNELS["exp"], u_grid=(2.0, 4.0, 6.0))
+    assert abs(rep.rhs - lam / (lam * lam + 1.0)) <= 1e-12
+    assert rep.decreasing_within_noise
 
 
 @pytest.mark.parametrize("u_grid", [(2.0, math.nan, 6.0), (2.0, 4.0, math.inf)])

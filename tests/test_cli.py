@@ -154,6 +154,68 @@ def test_csv_certify():
     assert len(lines) == 6
 
 
+# ------------------------------------------- limit and matrix stability checks
+
+_LIMIT = ["limit", "--alpha", "0.5", "--lambda", "2", "--kernel", "exp",
+          "--u-grid", "2,4,6"]
+_DECAY = ["matrix", "--alpha", "0.5", "--block=-1:2", "--check", "decay",
+          "--t-grid", "1,100,6"]
+_INTEGRAL = ["matrix", "--alpha", "0.5", "--block=-1:2", "--check", "integral",
+             "--t-max", "5"]
+
+
+def test_limit_command_json_and_csv():
+    rc, out, _ = run(_LIMIT)
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["meta"] == {"alpha": 0.5, "command": "limit", "kernel": "exp",
+                           "lambda": {"im": 0.0, "re": 2.0}}
+    report = doc["report"]
+    assert set(report) == {"rhs", "points", "decreasing_within_noise", "final_error"}
+    assert report["rhs"]["re"] == pytest.approx(0.4, rel=1e-10)
+    assert [pt["u"] for pt in report["points"]] == [2.0, 4.0, 6.0]
+    assert set(report["points"][0]) == {"u", "lhs", "abs_error", "err_estimate"}
+    rc, out, _ = run(_LIMIT + ["--format", "csv"])
+    assert rc == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "u,lhs_re,lhs_im,abs_error,err_estimate"
+    assert len(lines) == 4
+
+
+def test_matrix_decay_check_json_and_csv():
+    rc, out, _ = run(_DECAY)
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["meta"] == {"alpha": 0.5, "check": "decay", "command": "matrix"}
+    report = doc["report"]
+    assert set(report) == {"spectral", "t_grid", "norm2", "norm_inf",
+                           "strictly_decreasing", "tail_slope", "final_norm2"}
+    assert len(report["t_grid"]) == len(report["norm2"]) == 6
+    assert report["final_norm2"] == report["norm2"][-1]
+    rc, out, _ = run(_DECAY + ["--format", "csv"])
+    assert rc == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "t,norm2,norm_inf"
+    assert len(lines) == 7
+
+
+def test_matrix_integral_check_json_and_csv():
+    rc, out, _ = run(_INTEGRAL)
+    assert rc == EXIT_OK
+    doc = json.loads(out)
+    assert doc["meta"] == {"alpha": 0.5, "check": "integral", "command": "matrix"}
+    report = doc["report"]
+    assert set(report) == {"spectral", "t_max", "numeric", "numeric_err",
+                           "tail_bound", "total", "tail_fraction"}
+    assert report["t_max"] == 5.0
+    assert report["total"] == pytest.approx(report["numeric"] + report["tail_bound"])
+    rc, out, _ = run(_INTEGRAL + ["--format", "csv"])
+    assert rc == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "t_max,numeric,numeric_err,tail_bound,total,tail_fraction"
+    assert len(lines) == 2
+
+
 # ------------------------------------------------------------------ config
 
 def test_config_supplies_defaults(tmp_path):

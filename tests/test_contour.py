@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlfunc.bounds import _CERT_QUAD, _interior_eval_spec, certify_lemma2_i, sector_context
@@ -14,6 +14,7 @@ from mlfunc.contour import (
     RegionClass,
     _cauchy_integral,
     _explicit_term,
+    admissible_specs,
     classify_region,
     contour_distance,
     ml_contour,
@@ -281,6 +282,35 @@ def test_batched_remainder_plus_explicit_term_matches_series():
         assert abs(value + expl - oracle.value) <= err + expl_err + oracle.err_estimate
 
 
+@given(st.sampled_from([0.35, 0.5, 0.6, 0.8]),
+       st.sampled_from([1.0, 0.6, 1.5]),
+       st.floats(min_value=0.05, max_value=8.0),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.integers(min_value=0, max_value=2),
+       st.lists(st.floats(min_value=0.1, max_value=40.0), min_size=1, max_size=12))
+@settings(max_examples=12, deadline=None)
+def test_array_t_matches_one_time_calls(alpha, beta, r, phi, l, ts):
+    # both sides of the path: each entry of the array call must agree with
+    # the one-time call on the same path within both error estimates
+    lam = r * cmath.exp(1j * phi)
+    ts = np.array(ts)
+    # keep the explicit G+ term inside the double range
+    assume((r * ts.max() ** alpha) ** (1.0 / alpha) < 300.0)
+    p = MLParams(alpha, beta)
+    res = ml_contour_deriv(p, lam, ts, l)
+    assert res.value.shape == res.err_estimate.shape == ts.shape
+    spec = next(admissible_specs(alpha, lam * ts.min() ** alpha))
+    for t, value, err in zip(ts, res.value, res.err_estimate):
+        one = ml_contour_deriv(p, lam, float(t), l, spec=spec)
+        assert abs(value - one.value) <= err + one.err_estimate
+
+
+@pytest.mark.parametrize("t", [[], [[1.0, 2.0]], [1.0, 0.0, 2.0]])
+def test_array_t_rejects_empty_nested_or_nonpositive_times(t):
+    with pytest.raises(DomainError):
+        ml_contour_deriv(MLParams(0.6, 1.0), -1.0, t, 0)
+
+
 # ----------------------------------------------------------- non-finite input
 
 _NON_FINITE = [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
@@ -294,7 +324,8 @@ def test_contour_rejects_non_finite_argument(z):
 
 
 @pytest.mark.parametrize("lam,t", [(math.nan, 2.0), (complex(math.inf, 1.0), 2.0),
-                                   (-1.0, math.inf), (-1.0, math.nan)])
+                                   (-1.0, math.inf), (-1.0, math.nan),
+                                   (-1.0, [2.0, math.nan])])
 def test_contour_derivative_rejects_non_finite_arguments(lam, t):
     name = "t" if math.isfinite(abs(complex(lam))) else "lam"
     with pytest.raises(DomainError, match=f"argument {name} must be finite"):
