@@ -90,7 +90,7 @@ from .numcore import (
     recip_gamma,
     require_finite,
 )
-from .series import EvalControls, MLParams, ml_eval
+from .series import MLParams, ml_eval
 
 __all__ = [
     "SectorContextError",
@@ -119,7 +119,7 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 
-# quadrature preset for certificate measurements: the integrands shrink like
+# preset of the certificates and path masses: the integrands shrink like
 # 1/t^a along the grid, so convergence must be driven by the relative target
 _CERT_QUAD = QuadratureControls(rel_tol=1e-12, abs_tol=1e-290)
 
@@ -227,10 +227,10 @@ def sector_context(alpha: float, lam: complex, theta: float | None = None,
 
 @dataclass(frozen=True)
 class KappaIntegrals:
-    """Arclength mass of the kernel over gamma(eps, theta).
+    """Arclength mass of the kernel over gamma(1, theta).
 
     i0 integrates |exp(zeta**(1/alpha))|, i1 additionally weighs by
-    |zeta|**(1/alpha); the *_err fields are quadrature error estimates.
+    |zeta|**(1/alpha); *_err are their error estimates at ``_CERT_QUAD``.
     """
 
     i0: float
@@ -239,30 +239,26 @@ class KappaIntegrals:
     i1_err: float
 
 
-def _path_mass(alpha: float, theta: float, eps: float, power: float,
-               controls: QuadratureControls | None) -> tuple[float, float]:
+def _path_mass(alpha: float, theta: float, power: float) -> tuple[float, float]:
     """Integral of |exp(zeta**(1/alpha))| |zeta|**power against |d zeta|
-    over gamma(eps, theta), with its quadrature error estimate."""
-    spec = ContourSpec(alpha, theta, eps)
+    over gamma(1, theta) at ``_CERT_QUAD``, with its error estimate."""
+    spec = ContourSpec(alpha, theta)
     inv_alpha = 1.0 / alpha
 
     def f(zeta: np.ndarray) -> np.ndarray:
         return np.abs(np.exp(zeta ** inv_alpha)) * np.abs(zeta) ** power
 
-    value, err, _ = _integrate_gamma(spec, f, controls or QuadratureControls(),
-                                     arclength=True)
+    value, err, _ = _integrate_gamma(spec, f, _CERT_QUAD, arclength=True)
     return value.real, err
 
 
-def kappa_integrals(alpha: float, theta: float, eps: float = 1.0,
-                    controls: QuadratureControls | None = None) -> KappaIntegrals:
-    v0, e0 = _path_mass(alpha, theta, eps, 0.0, controls)
-    v1, e1 = _path_mass(alpha, theta, eps, 1.0 / alpha, controls)
+def kappa_integrals(alpha: float, theta: float) -> KappaIntegrals:
+    v0, e0 = _path_mass(alpha, theta, 0.0)
+    v1, e1 = _path_mass(alpha, theta, 1.0 / alpha)
     return KappaIntegrals(v0, v1, e0, e1)
 
 
-def kappa_moment(alpha: float, theta: float, n: int,
-                 controls: QuadratureControls | None = None) -> tuple[float, float]:
+def kappa_moment(alpha: float, theta: float, n: int) -> tuple[float, float]:
     """I_n: the mass of |exp(zeta**(1/a))| |zeta|**(1/a - 1 + n) over
     gamma(1, theta), returned as (value, quadrature error estimate).
 
@@ -271,7 +267,7 @@ def kappa_moment(alpha: float, theta: float, n: int,
     """
     if n < 1 or n != int(n):
         raise DomainError("expansion order must be a positive integer")
-    return _path_mass(alpha, theta, 1.0, 1.0 / alpha - 1.0 + n, controls)
+    return _path_mass(alpha, theta, 1.0 / alpha - 1.0 + n)
 
 
 def expansion_coefficient(alpha: float, lam: complex, k: int, l: int) -> complex:
@@ -318,9 +314,8 @@ class Lemma2Constants:
     i1_err: float
 
 
-def lemma2_constants(ctx: SectorContext,
-                     controls: QuadratureControls | None = None) -> Lemma2Constants:
-    kap = kappa_integrals(ctx.alpha, ctx.theta, 1.0, controls)
+def lemma2_constants(ctx: SectorContext) -> Lemma2Constants:
+    kap = kappa_integrals(ctx.alpha, ctx.theta)
     s = math.sin(ctx.theta0)
     mod = abs(ctx.lam)
     m1 = kap.i0 / (2.0 * ctx.alpha * math.pi * mod * s)
@@ -349,11 +344,10 @@ class Lemma4Constants:
     i1: float
 
 
-def lemma4_constants(ctx: SectorContext, l_max: int,
-                     controls: QuadratureControls | None = None) -> Lemma4Constants:
+def lemma4_constants(ctx: SectorContext, l_max: int) -> Lemma4Constants:
     if l_max < 0:
         raise DomainError("l_max must be nonnegative")
-    kap = kappa_integrals(ctx.alpha, ctx.theta, 1.0, controls)
+    kap = kappa_integrals(ctx.alpha, ctx.theta)
     s = math.sin(ctx.theta0)
     mod = abs(ctx.lam)
     two_a_pi = 2.0 * ctx.alpha * math.pi
@@ -459,7 +453,6 @@ def _lemma2_envelope(consts: Lemma2Constants, harmonized: bool,
 def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
                     t_weight: float, allowed_power: float,
                     n_points: int, t_max_factor: float,
-                    controls: QuadratureControls | None,
                     constant_scale: float, err_inflate: float,
                     harmonized: bool) -> CertificateReport:
     """Shared core of the Lemma 2 certificates.
@@ -469,11 +462,10 @@ def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
     side v is the path-integral remainder I(z) with z in G+, so the large
     exponential is never subtracted; on the exterior side v is
     E_{alpha,beta}(z) itself by the path route.  Either way the values at
-    all grid points come from one batched path integral.
+    all grid points come from one batched path integral at ``_CERT_QUAD``.
     """
     _require_side(ctx, side, name)
-    controls = controls or _CERT_QUAD
-    consts = lemma2_constants(ctx, controls)
+    consts = lemma2_constants(ctx)
     m, constants = _lemma2_envelope(consts, harmonized, constant_scale)
     p = MLParams(ctx.alpha, beta)
     ts = _t_grid(consts.t0, t_max_factor, n_points)
@@ -484,9 +476,9 @@ def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
             raise SectorContextError(
                 "hypothesis violated: lambda t^alpha left G+ of the "
                 "evaluation path")
-        values, errs, _ = _cauchy_integral(spec, p, np.array(zs), controls, 0)
+        values, errs, _ = _cauchy_integral(spec, p, np.array(zs), _CERT_QUAD, 0)
     else:
-        res = ml_contour_deriv(p, ctx.lam, ts, 0, controls)
+        res = ml_contour_deriv(p, ctx.lam, ts, 0, _CERT_QUAD)
         values, errs = res.value, res.err_estimate
     points = []
     for t, value, err in zip(ts.tolist(), values.tolist(), errs.tolist()):
@@ -503,29 +495,28 @@ def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
 
 def certify_lemma2_i(ctx: SectorContext, n_points: int = 40,
                      t_max_factor: float = 200.0,
-                     controls: QuadratureControls | None = None,
                      constant_scale: float = 1.0, err_inflate: float = 1.0,
                      harmonized: bool = False) -> CertificateReport:
     """|E_alpha(lambda t^a) - (1/a) exp(lambda^(1/a) t)| <= m / t^a on t >= t0.
 
-    The left side is measured as the path-integral remainder directly, so no
-    large exponentials are ever subtracted.
+    The left side is measured as the path-integral remainder at _CERT_QUAD,
+    so no large exponentials are ever subtracted.
     """
     return _certify_lemma2("lemma2-i", "interior", ctx, 1.0, 0.0, ctx.alpha,
-                           n_points, t_max_factor, controls,
+                           n_points, t_max_factor,
                            constant_scale, err_inflate, harmonized)
 
 
 def certify_lemma2_ii(ctx: SectorContext, n_points: int = 40,
                       t_max_factor: float = 200.0,
-                      controls: QuadratureControls | None = None,
                       constant_scale: float = 1.0, err_inflate: float = 1.0,
                       harmonized: bool = False) -> CertificateReport:
     """|t^(a-1) E_{a,a}(lambda t^a) - (1/a) lambda^((1-a)/a) e^(lambda^(1/a) t)|
-    <= m / t^(a+1) on t >= t0, measured as t^(a-1) times the remainder integral."""
+    <= m / t^(a+1) on t >= t0, measured as t^(a-1) times the remainder
+    integral at ``_CERT_QUAD``."""
     report = _certify_lemma2("lemma2-ii", "interior", ctx, complex(ctx.alpha),
                              ctx.alpha - 1.0, ctx.alpha + 1.0,
-                             n_points, t_max_factor, controls,
+                             n_points, t_max_factor,
                              constant_scale, err_inflate, harmonized)
     # same inequality in the z variable: |E_{a,a}(z) - explicit| <= C/|z|^2
     # with C = I1/(2 a pi sin(theta0)); identical measurements, rescaled
@@ -546,24 +537,22 @@ def certify_lemma2_ii(ctx: SectorContext, n_points: int = 40,
 
 def certify_lemma2_iii(ctx: SectorContext, n_points: int = 40,
                        t_max_factor: float = 200.0,
-                       controls: QuadratureControls | None = None,
                        constant_scale: float = 1.0, err_inflate: float = 1.0,
                        harmonized: bool = False) -> CertificateReport:
     """|t^(a-1) E_{a,a}(lambda t^a)| <= m / t^(a+1) for exterior lambda, t >= t0.
 
     Here the function itself is small, so it is measured directly, by the
-    path route at every grid point in one batched path integral, and
-    weighted by t^(a-1).
+    path route at every grid point in one batched path integral at
+    ``_CERT_QUAD``, and weighted by t^(a-1).
     """
     return _certify_lemma2("lemma2-iii", "exterior", ctx, complex(ctx.alpha),
                            ctx.alpha - 1.0, ctx.alpha + 1.0,
-                           n_points, t_max_factor, controls,
+                           n_points, t_max_factor,
                            constant_scale, err_inflate, harmonized)
 
 
 def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
                    t_max_factor: float = 200.0,
-                   controls: QuadratureControls | None = None,
                    constant_scale: float = 1.0,
                    err_inflate: float = 1.0) -> CertificateReport:
     """Derivative envelopes |d^l E_alpha| <= M_l/t^a and
@@ -574,15 +563,14 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     point.  Each family and order is measured at all grid points by one
     batched path integral on the first path and cross-checked by one on the
     second (another angle or radius, so another partition and other nodes);
-    the disagreement enters the error budget.  The report constants include
-    fitted log-log tail slopes per family and order, which should approach
-    -alpha and -2*alpha.
+    the disagreement enters the error budget.  Both run at ``_CERT_QUAD``.
+    The report constants include fitted log-log tail slopes per family and
+    order, which should approach -alpha and -2*alpha.
     """
     _require_side(ctx, "exterior", "lemma4")
     if l_max < 0:
         raise DomainError("l_max must be nonnegative")
-    controls = controls or _CERT_QUAD
-    consts = lemma4_constants(ctx, l_max, controls)
+    consts = lemma4_constants(ctx, l_max)
     ts = _t_grid(consts.t0, t_max_factor, n_points)
     first, second = itertools.islice(
         admissible_specs(ctx.alpha, ctx.lam * ts[0] ** ctx.alpha), 2)
@@ -595,8 +583,8 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     for l in range(l_max + 1):
         columns = []
         for fam, p, const, power in families:
-            res = ml_contour_deriv(p, ctx.lam, ts, l, controls, spec=first)
-            other = ml_contour_deriv(p, ctx.lam, ts, l, controls, spec=second)
+            res = ml_contour_deriv(p, ctx.lam, ts, l, _CERT_QUAD, spec=first)
+            other = ml_contour_deriv(p, ctx.lam, ts, l, _CERT_QUAD, spec=second)
             gap = np.abs(other.value - res.value)
             max_gap = max(max_gap, float(np.max(gap / np.maximum(np.abs(res.value), 1e-300))))
             label = f"{fam} l={l}"
@@ -705,8 +693,7 @@ class Lemma3Report:
 
 def lemma3_limit_check(alpha: float, lam: complex,
                        g: Callable[[np.ndarray], np.ndarray],
-                       u_grid=None,
-                       controls: QuadratureControls | None = None) -> Lemma3Report:
+                       u_grid=None) -> Lemma3Report:
     """Convergence of the averaged kernel toward the Laplace transform:
 
         integral_0^u (u-s)^(a-1) E_{a,a}(lambda (u-s)^a) g(s) ds
@@ -716,7 +703,8 @@ def lemma3_limit_check(alpha: float, lam: complex,
     as u -> infinity, for |arg lambda| < alpha*pi/2.  The substitution
     v = (u-s)^a removes the endpoint singularity; g must accept ndarray
     input.  Per-u errors |LHS(u) - RHS| are reported together with a
-    noise-aware decreasing flag (quadrature error bars set the slack).
+    noise-aware decreasing flag (error bars at the default presets set the
+    slack).
     """
     if not (0.0 < alpha < 1.0):
         raise SectorContextError("hypothesis violated: alpha must lie in (0, 1)")
@@ -727,7 +715,6 @@ def lemma3_limit_check(alpha: float, lam: complex,
     if abs(principal_arg(lam)) >= alpha * math.pi / 2.0:
         raise SectorContextError(
             "hypothesis violated: the limit needs |arg lambda| < alpha*pi/2")
-    controls = controls or QuadratureControls()
     if u_grid is None:
         u_grid = np.linspace(2.0, 30.0, 8)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -741,7 +728,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
     def rhs_f(s: np.ndarray) -> np.ndarray:
         return np.exp(-c * s) * g(np.real(s))
 
-    rhs_int, rhs_err = integrate_path(rhs_f, [line_segment(0.0, s_max)], controls)
+    rhs_int, rhs_err = integrate_path(rhs_f, [line_segment(0.0, s_max)])
     pref = cpow(lam, 1.0 / alpha - 1.0)
     rhs = pref * rhs_int
     rhs_err *= abs(pref)
@@ -767,13 +754,12 @@ def lemma3_limit_check(alpha: float, lam: complex,
     else:
         paa = MLParams(alpha, complex(alpha))
         p1 = MLParams(alpha, 1.0)
-        ev = EvalControls(tol=1e-12, quad=controls)
 
         def eaa_vec(z: np.ndarray) -> np.ndarray:
-            return np.array([ml_eval(paa, complex(zz), ev).value for zz in z])
+            return np.array([ml_eval(paa, complex(zz)).value for zz in z])
 
         def e1_val(z: complex) -> complex:
-            return ml_eval(p1, z, ev).value
+            return ml_eval(p1, z).value
 
         node_rel = 1e-11
 
@@ -785,7 +771,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
             vr = np.real(v)
             return eaa_vec(lam * v) * g(u - vr ** inv_alpha) / alpha
 
-        num, num_err = integrate_path(f, [line_segment(0.0, ua)], controls)
+        num, num_err = integrate_path(f, [line_segment(0.0, ua)])
         den = e1_val(lam * ua)
         lhs = num / den
         err = num_err / abs(den) + 4.0 * node_rel * abs(lhs) + rhs_err

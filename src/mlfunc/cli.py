@@ -14,7 +14,8 @@ Subcommands:
 Output is a single deterministic JSON document (sorted keys, complex
 numbers as {"re":..., "im":...}, no timestamps) or CSV with a header row;
 diagnostics go to stderr only.  A JSON config file can supply any flag
-value (command line wins over config, config wins over defaults).
+value, keyed by the flag's name without its dashes (command line wins over
+config, config wins over defaults).
 
 Exit codes: 0 success / PASS, 1 malformed input or violated hypothesis,
 2 evaluation failure, 3 FAIL or self-test mismatch, 4 INCONCLUSIVE.
@@ -136,38 +137,8 @@ def _parse_geom_grid(value) -> np.ndarray:
     return np.geomspace(parts[0], parts[1], n)
 
 
-# converters applied to config-file values, keyed by argparse dest
-_CONVERTERS = {
-    "alpha": float,
-    "beta": parse_complex,
-    "z": lambda v: [parse_complex(x) for x in (v if isinstance(v, list) else [v])],
-    "lam": parse_complex,
-    "lambda_mod": float,
-    "lambda_arg": parse_angle,
-    "t": _parse_float_list,
-    "l": int,
-    "tol": float,
-    "theta": parse_angle,
-    "theta0": parse_angle,
-    "t_points": int,
-    "t_max_factor": float,
-    "constant_scale": float,
-    "err_inflate": float,
-    "harmonized": bool,
-    "block": lambda v: [_parse_block(x) for x in (v if isinstance(v, list) else [v])],
-    "t_grid": _parse_geom_grid,
-    "u_grid": _parse_float_list,
-    "t_single": float,
-    "t_max": float,
-    "check": str,
-    "kernel": str,
-    "flip_orientation": bool,
-    "format": str,
-    "output": str,
-}
-
-
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "csv"], default=None)
     common.add_argument("--output", default=None, metavar="PATH")
@@ -233,10 +204,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--flip-orientation", action="store_true", default=None,
                    help="debug: negate the path orientation")
 
-    return top
+    return top, sub.choices
 
 
-def _load_config(path) -> dict:
+def _load_config(path, parser: argparse.ArgumentParser) -> dict:
+    """Flag values from a JSON config, keyed by the subcommand's flag names
+    without the leading dashes ('-' and '_' interchangeable).  Each value
+    goes through the flag's own action: its type, its choices, a list for
+    a repeatable flag, true or false for a switch."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -246,13 +221,35 @@ def _load_config(path) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    out = {}
+    config = argparse.Namespace()
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest not in _CONVERTERS:
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("config", "help"):
             raise UsageError(f"unknown config key: {key}")
-        out[dest] = _CONVERTERS[dest](value)
-    return out
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key} must be true or false")
+            if value:
+                action(parser, config, None)
+            continue
+        repeated = isinstance(action, argparse._AppendAction) and isinstance(value, list)
+        for item in value if repeated else [value]:
+            action(parser, config, _config_value(action, key, item))
+    return vars(config)
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """One config value converted and checked as the command line would;
+    a JSON number, boolean or null goes through the flag's type as text."""
+    if not isinstance(value, (str, list)):
+        value = json.dumps(value)
+    try:
+        value = (action.type or str)(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key}: {exc}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key}: invalid choice {value!r}")
+    return value
 
 
 class _Options:
@@ -572,12 +569,12 @@ def _cmd_selftest(opt: _Options) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
-        config = _load_config(args.config) if args.config else {}
+        config = _load_config(args.config, commands[args.command]) if args.config else {}
         opt = _Options(args, config)
         if args.command == "eval":
             return _cmd_eval(opt)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numcore import (
+    DEFAULT_CONTROLS,
     DomainError,
     PathSegment,
     QuadratureControls,
@@ -243,13 +244,13 @@ def admissible_specs(alpha: float, z: complex):
     """Yield the paths that keep at least 1e-3 * max(1, |z|) from z, in
     order of preference: ray angles 0.75, 0.625, 0.875, 0.5625, 0.9375 of
     alpha*pi, each with radius eps0, eps0/2, 2*eps0 (eps0 = 1, or |z|/2 for
-    1e-12 <= |z| <= 2).
+    1.4e-3 <= |z| <= 2: below, even radius |z|/4 keeps only 3|z|/4 < 1e-3).
 
     The first spec is the one the path route takes when no spec is given;
     the later ones give other partitions and nodes for a cross-check.
     """
     az = abs(z)
-    eps0 = 1.0 if az > 2.0 or az < 1e-12 else az / 2.0
+    eps0 = az / 2.0 if 1.4e-3 <= az <= 2.0 else 1.0
     scale = max(1.0, az)
     for frac in (0.75, 0.625, 0.875, 0.5625, 0.9375):
         theta = frac * alpha * math.pi
@@ -260,17 +261,16 @@ def admissible_specs(alpha: float, z: complex):
 
 
 def ml_contour(p: MLParams, z: complex,
-               controls: QuadratureControls | None = None,
                spec: ContourSpec | None = None) -> EvalResult:
     """E_{alpha,beta}(z) through the path representation (alpha < 1): the
-    l = 0, t = 1 case of ``ml_contour_deriv``.
+    l = 0, t = 1 case of ``ml_contour_deriv`` at DEFAULT_CONTROLS.
 
     With ``spec=None`` the angle/radius are chosen automatically so the
     argument keeps a healthy distance from the path.  A caller-provided
     spec is used as-is and rejected if the argument sits too close.
     """
     require_finite("z", z)
-    return _path_route(p, complex(z), 1.0, 0, controls, spec)
+    return _path_route(p, complex(z), 1.0, 0, None, spec)
 
 
 def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
@@ -280,7 +280,8 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
 
     Differentiating under the integral sign multiplies the Cauchy kernel up
     to l! / (zeta - z)**(l+1) and scales by t**(alpha*l); the explicit G+
-    term is differentiated in closed form.
+    term is differentiated in closed form.  ``controls`` defaults to
+    DEFAULT_CONTROLS; the certificates pass ``bounds._CERT_QUAD``.
 
     ``t`` is one time or a 1-D array of them.  An array gives an EvalResult
     whose value and err_estimate are arrays, from one batched path integral
@@ -316,8 +317,7 @@ def _path_route(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
         spec = next(admissible_specs(p.alpha, z_near), None)
         if spec is None:
             raise EvaluationError("no admissible path separates the argument")
-    controls = controls or QuadratureControls()
-    value, err, panels = _cauchy_integral(spec, p, z, controls, l)
+    value, err, panels = _cauchy_integral(spec, p, z, controls or DEFAULT_CONTROLS, l)
     scale = t_alpha ** l
     value *= scale
     err *= scale
@@ -346,9 +346,9 @@ def _add_explicit(spec: ContourSpec, p: MLParams, z: complex, l: int,
 
 
 def recip_gamma_via_contour(alpha: float, b: complex,
-                            theta: float | None = None, eps: float = 1.0,
-                            controls: QuadratureControls | None = None) -> complex:
-    """Path integral of the bare kernel; must equal 1/Gamma(b - alpha).
+                            theta: float | None = None, eps: float = 1.0) -> complex:
+    """Path integral of the bare kernel at DEFAULT_CONTROLS; must equal
+    1/Gamma(b - alpha).
 
     Substituting zeta = w**alpha turns the path into a Hankel loop, so the
     value is independent of (theta, eps).  Disagreement with the direct
@@ -358,7 +358,6 @@ def recip_gamma_via_contour(alpha: float, b: complex,
     if theta is None:
         theta = 0.75 * alpha * math.pi
     spec = ContourSpec(alpha, theta, eps)
-    controls = controls or QuadratureControls()
     kernel = _kernel_factory(spec, b)
-    value, _, _ = _integrate_gamma(spec, kernel, controls)
+    value, _, _ = _integrate_gamma(spec, kernel, DEFAULT_CONTROLS)
     return value / (2.0 * alpha * math.pi * 1j)

@@ -234,39 +234,41 @@ class DecayReport:
     final_norm2: float
 
 
-def _exterior_contexts(alpha: float, spec: JordanSpec):
-    return [sector_context(alpha, lam, side="exterior") for lam, _ in spec.blocks]
-
-
-def decay_check(alpha: float, a, t_grid=None,
-                controls: QuadratureControls | None = None) -> DecayReport:
-    """Norm decay of E_alpha(t^alpha A) under the sector condition.
-
-    Records 2- and inf-norms on a geometric grid, whether the 2-norm is
-    strictly decreasing, and the fitted log-log slope over the last decade
-    (the envelopes predict an eventual slope of -alpha).
-    """
-    if t_grid is not None:
-        t_grid = np.asarray(t_grid, dtype=float)
-        require_finite("t_grid", t_grid)
-        if t_grid.ndim != 1 or len(t_grid) < 3 or np.any(np.diff(t_grid) <= 0.0):
-            raise DomainError("t_grid must be increasing with at least 3 entries")
+def _exterior_setup(alpha: float, a):
+    """(spec, spectral report, exterior sector context per block) of the
+    matrix argument ``a``; raises unless the sector condition holds."""
     spec = _coerce_spec(a)
     report = spectral_condition(spec, alpha)
     if not report.satisfied:
         raise SectorContextError(
             "hypothesis violated: every eigenvalue must be nonzero with "
             "|arg lambda| > alpha*pi/2")
-    ctxs = _exterior_contexts(alpha, spec)
+    return spec, report, [sector_context(alpha, lam, side="exterior")
+                          for lam, _ in spec.blocks]
+
+
+def decay_check(alpha: float, a, t_grid=None) -> DecayReport:
+    """Norm decay of E_alpha(t^alpha A) under the sector condition.
+
+    Records 2- and inf-norms on a geometric grid, whether the 2-norm is
+    strictly decreasing, and the fitted log-log slope over the last decade
+    (the envelopes predict an eventual slope of -alpha).  ``ml_matrix``
+    runs at DEFAULT_CONTROLS.
+    """
+    if t_grid is not None:
+        t_grid = np.asarray(t_grid, dtype=float)
+        require_finite("t_grid", t_grid)
+        if t_grid.ndim != 1 or len(t_grid) < 3 or np.any(np.diff(t_grid) <= 0.0):
+            raise DomainError("t_grid must be increasing with at least 3 entries")
+    spec, report, ctxs = _exterior_setup(alpha, a)
     if t_grid is None:
         t_start = 2.0 * max(ctx.t0 for ctx in ctxs)
         t_grid = np.geomspace(t_start, 1e4 * t_start, 28)
     p1 = MLParams(alpha, 1.0)
-    controls = controls or QuadratureControls()
     norm2 = []
     norm_inf = []
     for t in t_grid:
-        m = ml_matrix(p1, spec, float(t), controls)
+        m = ml_matrix(p1, spec, float(t))
         norm2.append(float(np.linalg.norm(m, 2)))
         norm_inf.append(float(np.linalg.norm(m, np.inf)))
     decreasing = bool(np.all(np.diff(norm2) < 0.0))
@@ -300,6 +302,9 @@ _COEFF_SLACK = 1.0 + 1e-10
 # the order search stops once an order tightens the tail bound by less than
 # this share; it always stops, since I_N grows like Gamma(alpha N)
 _MIN_ORDER_GAIN = 1e-3
+# integral_check's preset, for the [0, T] integral and its ml_matrix nodes;
+# DEFAULT_CONTROLS makes the node evaluations 1.7-1.9x slower, same output
+_INTEGRAL_QUAD = QuadratureControls(rel_tol=1e-8, abs_tol=1e-12, max_panels=512)
 
 
 def _tail_coefficients(ctx, size: int, n: int, i_n: float) -> dict[int, float]:
@@ -316,8 +321,7 @@ def _tail_coefficients(ctx, size: int, n: int, i_n: float) -> dict[int, float]:
     return coeffs
 
 
-def _asymptotic_tail(alpha: float, spec: JordanSpec, ctxs, t_max: float,
-                     controls: QuadratureControls) -> float:
+def _asymptotic_tail(alpha: float, spec: JordanSpec, ctxs, t_max: float) -> float:
     """Bound on integral_{t_max}^inf tau^(a-1) ||E_{a,a}(tau^a A)|| dtau,
     the smallest over expansion orders N = 1, 2, ... up to the first order
     that tightens it by less than _MIN_ORDER_GAIN (see module docstring)."""
@@ -325,7 +329,7 @@ def _asymptotic_tail(alpha: float, spec: JordanSpec, ctxs, t_max: float,
     for n in itertools.count(1):
         combined: dict[int, float] = {}
         for ctx, (_, size) in zip(ctxs, spec.blocks):
-            i_n = sum(kappa_moment(alpha, ctx.theta, n, controls))  # value + err
+            i_n = sum(kappa_moment(alpha, ctx.theta, n))  # value + err
             for k, a_k in _tail_coefficients(ctx, size, n, i_n).items():
                 combined[k] = max(combined.get(k, 0.0), a_k)
         bound = sum(a_k * t_max ** (-alpha * (k - 1)) / (alpha * (k - 1))
@@ -339,8 +343,7 @@ def _asymptotic_tail(alpha: float, spec: JordanSpec, ctxs, t_max: float,
     return best
 
 
-def integral_check(alpha: float, a, t_max: float = 200.0,
-                   controls: QuadratureControls | None = None) -> IntegralReport:
+def integral_check(alpha: float, a, t_max: float = 200.0) -> IntegralReport:
     """Finiteness certificate for the tau^(alpha-1)-weighted norm integral.
 
     The [0, t_max] part is integrated numerically after the substitution
@@ -349,21 +352,15 @@ def integral_check(alpha: float, a, t_max: float = 200.0,
     rest is covered by the closed-form asymptotic tail bound (the
     expansion order is chosen to make it smallest, and order 1 is the
     Lemma 4 envelope tail), valid once t_max exceeds every block threshold t0.
+    The numeric part runs at ``_INTEGRAL_QUAD``, the tail's path masses at
+    ``bounds._CERT_QUAD``.
     """
     require_finite("t_max", t_max)
-    spec = _coerce_spec(a)
-    report = spectral_condition(spec, alpha)
-    if not report.satisfied:
-        raise SectorContextError(
-            "hypothesis violated: every eigenvalue must be nonzero with "
-            "|arg lambda| > alpha*pi/2")
-    ctxs = _exterior_contexts(alpha, spec)
+    spec, report, ctxs = _exterior_setup(alpha, a)
     t0_max = max(ctx.t0 for ctx in ctxs)
     if t_max <= t0_max:
         raise DomainError(
             f"t_max must exceed the envelope threshold t0 = {t0_max:.6g}")
-    controls = controls or QuadratureControls(rel_tol=1e-8, abs_tol=1e-12,
-                                              max_panels=512)
     paa = MLParams(alpha, complex(alpha))
     inv_alpha = 1.0 / alpha
 
@@ -371,15 +368,15 @@ def integral_check(alpha: float, a, t_max: float = 200.0,
         out = np.empty(len(vs), dtype=complex)
         for i, v in enumerate(vs):
             vr = float(np.real(v))
-            m = ml_matrix(paa, spec, vr ** inv_alpha, controls)
+            m = ml_matrix(paa, spec, vr ** inv_alpha, _INTEGRAL_QUAD)
             out[i] = np.linalg.norm(m, 2)
         return out
 
-    num, num_err = integrate_path(f, [line_segment(0.0, t_max ** alpha)], controls)
+    num, num_err = integrate_path(f, [line_segment(0.0, t_max ** alpha)], _INTEGRAL_QUAD)
     numeric = num.real / alpha
     numeric_err = num_err / alpha
 
-    tail = _asymptotic_tail(alpha, spec, ctxs, t_max, controls)
+    tail = _asymptotic_tail(alpha, spec, ctxs, t_max)
     total = numeric + tail
     return IntegralReport(
         spectral=report,

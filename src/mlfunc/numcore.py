@@ -69,6 +69,8 @@ class QuadratureControls:
                        for every integrand row against its own result.
     max_panels         hard cap on the number of panels before giving up;
                        panels are shared by all rows.
+    Presets: DEFAULT_CONTROLS (evaluation), bounds._CERT_QUAD (certificates,
+    path masses) and matrixfn._INTEGRAL_QUAD (integral_check).
     """
 
     rel_tol: float = 1e-12
@@ -183,12 +185,11 @@ def line_segment(z0: complex, z1: complex) -> PathSegment:
     )
 
 
-def circular_arc(radius: float, phi0: float, phi1: float, center: complex = 0j) -> PathSegment:
+def circular_arc(radius: float, phi0: float, phi1: float) -> PathSegment:
     if radius <= 0.0:
         raise DomainError("arc radius must be positive")
-    center = complex(center)
     return PathSegment(
-        point=lambda s: center + radius * np.exp(1j * s),
+        point=lambda s: radius * np.exp(1j * s),
         velocity=lambda s: 1j * radius * np.exp(1j * s),
         s0=float(phi0),
         s1=float(phi1),

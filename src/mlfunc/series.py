@@ -118,6 +118,17 @@ class EvalControls:
 # --------------------------------------------------------------------------
 # plain double-precision mode
 
+def _pole_terms(alpha: float, beta: complex, l: int, n: int) -> list[int]:
+    """The k in [l, l + n) at which alpha*k + beta is a pole of Gamma, a
+    nonpositive integer up to the rounding of alpha*k, so that the term
+    1/Gamma(alpha*k + beta) vanishes.  Poles need a real beta."""
+    if beta.imag != 0.0:
+        return []
+    k_end = int(min(l + n, (1.0 - beta.real) / alpha))  # past every pole
+    return [k for k in range(l, k_end) if (x := alpha * k + beta.real) < 0.5
+            and abs(math.remainder(x, 1.0)) <= 64.0 * _EPS * (1.0 + alpha * k)]
+
+
 def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float):
     """Sum the (derivative) series in doubles with Neumaier compensation.
 
@@ -127,9 +138,13 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     below max(tol * max(1, |partial sum|), 100 eps * sum |term|): the
     second scale is the rounding floor the error estimate already carries,
     so a cancelling sum stops there instead of running into overflow.
+    A zero term at a pole of Gamma is not convergence: unless w = 0, the
+    sum runs at least two terms past the last pole.
     Returns (value, err_estimate, n_terms) or raises SeriesConvergenceError.
     """
     alpha, beta = p.alpha, p.beta
+    poles = _pole_terms(alpha, beta, l, _MAX_TERMS) if w != 0 else []
+    first_stop = max(l + 2, poles[-1] + 2) if poles else l + 2
     s_re = c_re = s_im = c_im = 0.0
     perm = float(math.factorial(l))
     pw = complex(t_alpha_l)  # perm * pw accumulates the non-gamma factor
@@ -162,7 +177,7 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
         target = max(tol * max(1.0, abs(value)), 100.0 * _EPS * abs_sum)
         if ratio < 1.0:
             tail = mag * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
-            if mag <= target and tail <= target and k >= l + 2:
+            if mag <= target and tail <= target and k >= first_stop:
                 # per-term gamma rounding accumulates over the whole sum of
                 # magnitudes; this also covers the cancellation penalty
                 err = abs_sum * 100.0 * _EPS + tail
@@ -180,24 +195,27 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
 # extended-precision mode
 
 def _term_log10_profile(p: MLParams, lam: complex, t: float, l: int):
-    """log10 |term_k| scanned in floats; returns (k values, profile array)."""
+    """log10 |term_k| scanned in floats, -inf at a pole of Gamma; returns
+    (k values, profile array, pole mask)."""
     alpha, beta = p.alpha, p.beta
     log_lam = math.log(abs(lam)) if lam != 0 else -math.inf
     log_t = math.log(t) if t > 0.0 else -math.inf
     n = 256
     while True:
         k = np.arange(l, l + n, dtype=float)
-        prof = (
+        pole = np.isin(k, _pole_terms(alpha, beta, l, n))
+        prof = (  # loggamma is NaN at a pole: take it at 1 there
             loggamma(k + 1.0).real
             - loggamma(k - l + 1.0).real
             + (k - l) * log_lam
             + alpha * k * log_t
-            - loggamma(alpha * k + beta).real
+            - loggamma(np.where(pole, 1.0, alpha * k + beta)).real
         ) / _LN10
+        prof[pole] = -math.inf
         # extend until the tail drops below every summation cutoff the
         # retry loop may use (cutoff >= max_log10 - dps - 10 >= -130)
-        if prof[-1] < -130.0:
-            return k, prof
+        if prof[-1] < -130.0 and not pole[-1]:
+            return k, prof, pole
         if n >= 1 << 18:
             raise SeriesConvergenceError(
                 "term profile does not decay within the scan budget", 0j, math.inf)
@@ -216,7 +234,7 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
     if lam == 0 or t == 0.0:
         value = complex(recip_gamma(beta)) if l == 0 else 0j
         return value, abs(value) * _EPS, 1
-    k_grid, prof = _term_log10_profile(p, lam, t, l)
+    k_grid, prof, pole = _term_log10_profile(p, lam, t, l)
     max_log10 = float(prof.max())
     peak_at = int(np.argmax(prof))
 
@@ -224,7 +242,8 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
     for _ in range(3):
         dps = max(30, int(math.ceil(max(0.0, max_log10))) + extra)
         cutoff = max_log10 - dps - 10
-        past_peak = np.nonzero(prof[peak_at:] < cutoff)[0]
+        # a pole term is zero but does not end the sum
+        past_peak = np.nonzero((prof[peak_at:] < cutoff) & ~pole[peak_at:])[0]
         if not past_peak.size:
             raise SeriesConvergenceError(
                 "term profile does not decay within the scan budget", 0j, math.inf)

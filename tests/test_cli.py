@@ -236,6 +236,29 @@ def test_cli_overrides_config(tmp_path):
     assert rec["value"]["re"] == pytest.approx(math.e, rel=1e-13)
 
 
+def test_config_keys_are_flag_names(tmp_path):
+    # --lambda's flag name, and matrix's --t (whose dest is t_single)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "lambda": 2, "u-grid": [2, 4, 6]}))
+    rc, out, _ = run(["limit", "--config", str(cfg)])
+    assert rc == EXIT_OK
+    assert json.loads(out)["meta"]["lambda"] == {"im": 0.0, "re": 2.0}
+    cfg.write_text(json.dumps({"alpha": 0.5, "block": ["-1:2"], "t": 2.0}))
+    rc, out, _ = run(["matrix", "--config", str(cfg)])
+    assert rc == EXIT_OK
+    assert [rec["t"] for rec in json.loads(out)["records"]] == [2.0]
+
+
+@pytest.mark.parametrize("key,value", [("format", "xml"), ("l", 2.5)])
+def test_config_value_the_flag_would_reject_is_rejected(tmp_path, key, value):
+    # a choice outside --format's, and a number --l's int type refuses
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1.0, "beta": "1", "z": ["1"], key: value}))
+    rc, out, err = run(["eval", "--config", str(cfg)])
+    assert rc == EXIT_USAGE
+    assert out == "" and key in err
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 1.0, "frobnicate": 3}))

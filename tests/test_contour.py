@@ -156,6 +156,15 @@ def test_auto_spec_avoids_the_argument():
         assert math.isfinite(abs(res.value))
 
 
+@pytest.mark.parametrize("z", [1e-11, 1e-6, 1e-3, 1e-4j])
+def test_auto_spec_serves_tiny_arguments(z):
+    # below |z| = 1.4e-3 the auto path is the unit-radius one
+    p = MLParams(0.6, 1.0)
+    c = ml_contour(p, z)
+    s = ml_series_deriv(p, z, 1.0, 0, extended=True)
+    assert abs(c.value - s.value) <= c.err_estimate + s.err_estimate
+
+
 # -------------------------------------------------------------- derivatives
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])

@@ -216,7 +216,7 @@ def test_alpha_one_beta_one_is_exp_in_closed_form():
 
 
 @given(st.floats(min_value=0.3, max_value=1.0),
-       st.sampled_from(["1", "alpha", "1.5", "0.7+0.4i"]),
+       st.sampled_from(["1", "alpha", "1.5", "0.7+0.4i", "-2alpha", "-3alpha"]),
        st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=-math.pi, max_value=math.pi),
        st.floats(min_value=0.25, max_value=4.0),
@@ -225,13 +225,31 @@ def test_alpha_one_beta_one_is_exp_in_closed_form():
 def test_router_error_bar_covers_the_oracle(alpha, beta_kind, frac, phi, t, l):
     # |z| <= min(50, 250**alpha) keeps |z|**(1/alpha) <= 250, so every value
     # stays far inside the double range and the oracle's series affordable
-    beta = {"1": 1.0, "alpha": alpha, "1.5": 1.5, "0.7+0.4i": complex(0.7, 0.4)}[beta_kind]
+    # beta = -2 alpha, -3 alpha put a pole of Gamma at k = 2, 3
+    beta = {"1": 1.0, "alpha": alpha, "1.5": 1.5, "0.7+0.4i": complex(0.7, 0.4),
+            "-2alpha": -2.0 * alpha, "-3alpha": -3.0 * alpha}[beta_kind]
     p = MLParams(alpha, beta)
     z = frac * min(50.0, 250.0 ** alpha) * cmath.exp(1j * phi)
     lam = z / t ** alpha
     res = evaluate(p, lam, t, l)
     oracle = ml_series_deriv(p, lam, t, l, extended=True)
     assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+
+
+@pytest.mark.parametrize("alpha,beta,z", [(1.0, -2.0, 1.0), (0.5, -1.0, 1.0),
+                                          (0.87, -1.74, 2.0), (0.1, -0.3, 1.0)])
+def test_gamma_pole_terms_do_not_end_the_sum(alpha, beta, z):
+    # 1/Gamma(alpha k + beta) is 0 (or, for 0.1*3 - 0.3, a rounding residue)
+    # at some k >= 2; that term must not read as convergence in either mode
+    p = MLParams(alpha, beta)
+    plain = ml_series(p, z)
+    oracle = ml_series_deriv(p, z, 1.0, 0, extended=True)
+    assert abs(plain.value - oracle.value) <= plain.err_estimate + oracle.err_estimate
+    if alpha == 1.0:  # E_{1,-2}(z) = z^3 e^z
+        assert oracle.value == pytest.approx(math.e, rel=1e-14)
+    # w = 0 still ends the sum at once, on the exact 1/Gamma(beta)
+    at_zero = ml_series(p, 0.0)
+    assert at_zero.value == recip_gamma(beta) and at_zero.terms_or_panels == 3
 
 
 def test_forced_plain_mode_reports_honest_error():
