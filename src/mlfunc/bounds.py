@@ -74,10 +74,10 @@ import numpy as np
 from .contour import (
     ContourSpec,
     RegionClass,
-    _cauchy_integral,
-    _integrate_gamma,
     admissible_specs,
+    cauchy_integral,
     classify_region,
+    integrate_gamma,
     ml_contour_deriv,
 )
 from .numcore import (
@@ -248,7 +248,7 @@ def _path_mass(alpha: float, theta: float, power: float) -> tuple[float, float]:
     def f(zeta: np.ndarray) -> np.ndarray:
         return np.abs(np.exp(zeta ** inv_alpha)) * np.abs(zeta) ** power
 
-    value, err, _ = _integrate_gamma(spec, f, _CERT_QUAD, arclength=True)
+    value, err, _ = integrate_gamma(spec, f, _CERT_QUAD, arclength=True)
     return value.real, err
 
 
@@ -409,11 +409,12 @@ def _interior_eval_spec(ctx: SectorContext) -> ContourSpec:
 
     The remainder integral has the same value on every admissible path, so
     the evaluation angle is free; it only needs comfortable distance from
-    arg(z) = arg(lambda), which the midpoint toward alpha*pi provides.
+    arg(z) = arg(lambda), which the midpoint toward alpha*pi provides.  At
+    the floor 0.75*alpha*pi the kernel decays like exp(-0.71 r**(1/alpha)).
     """
     apimath = ctx.alpha * math.pi
     phi = ctx.arg_lam
-    theta_eval = max(0.55 * apimath, 0.5 * (phi + apimath))
+    theta_eval = max(0.75 * apimath, 0.5 * (phi + apimath))
     return ContourSpec(ctx.alpha, theta_eval, 0.5)
 
 
@@ -476,7 +477,7 @@ def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
             raise SectorContextError(
                 "hypothesis violated: lambda t^alpha left G+ of the "
                 "evaluation path")
-        values, errs, _ = _cauchy_integral(spec, p, np.array(zs), _CERT_QUAD, 0)
+        values, errs, _ = cauchy_integral(spec, p, np.array(zs), _CERT_QUAD, 0)
     else:
         res = ml_contour_deriv(p, ctx.lam, ts, 0, _CERT_QUAD)
         values, errs = res.value, res.err_estimate
@@ -558,12 +559,12 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     """Derivative envelopes |d^l E_alpha| <= M_l/t^a and
     |d^l E_{a,a}| <= M_hat_l/t^(2a) on the exterior side for t >= t0.
 
-    The grid lies on the ray arg(lambda) beyond its first point, so the
-    first two paths ``admissible_specs`` yields there clear every grid
-    point.  Each family and order is measured at all grid points by one
-    batched path integral on the first path and cross-checked by one on the
-    second (another angle or radius, so another partition and other nodes);
-    the disagreement enters the error budget.  Both run at ``_CERT_QUAD``.
+    The first two paths ``admissible_specs`` yields for the whole grid
+    clear every grid point.  Each family and order is measured at all grid
+    points by one batched path integral on the first path and cross-checked
+    by one on the second (another angle or radius, so another partition and
+    other nodes); the disagreement enters the error budget.  Both run at
+    ``_CERT_QUAD``.
     The report constants include fitted log-log tail slopes per family and
     order, which should approach -alpha and -2*alpha.
     """
@@ -573,7 +574,7 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     consts = lemma4_constants(ctx, l_max)
     ts = _t_grid(consts.t0, t_max_factor, n_points)
     first, second = itertools.islice(
-        admissible_specs(ctx.alpha, ctx.lam * ts[0] ** ctx.alpha), 2)
+        admissible_specs(ctx.alpha, ctx.lam * ts ** ctx.alpha), 2)
     families = (("E1", MLParams(ctx.alpha, 1.0), consts.m_l, ctx.alpha),
                 ("EAA", MLParams(ctx.alpha, complex(ctx.alpha)), consts.m_hat_l,
                  2.0 * ctx.alpha))
@@ -659,12 +660,8 @@ def _term_ratio_plan(alpha: float, beta: complex, z_top: float) -> np.ndarray:
 
 def _series_by_ratios(alpha: float, beta: complex, ratios: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
-    term = np.full_like(z, complex(recip_gamma(beta)), dtype=complex)
-    acc = term.copy()
-    for r in ratios:
-        term = term * z * r
-        acc += term
-    return acc
+    terms = np.cumprod(z[:, None] * ratios, axis=1)  # term_k / term_0, k >= 1
+    return complex(recip_gamma(beta)) * (1.0 + terms.sum(axis=1))
 
 
 LIMIT_KERNELS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -704,7 +701,9 @@ def lemma3_limit_check(alpha: float, lam: complex,
     v = (u-s)^a removes the endpoint singularity; g must accept ndarray
     input.  Per-u errors |LHS(u) - RHS| are reported together with a
     noise-aware decreasing flag (error bars at the default presets set the
-    slack).
+    slack).  The E_{a,a} values at a panel's nodes come from the ratio
+    series where a plain sum keeps its digits, and else from one batched
+    ``ml_contour_deriv`` call.
     """
     if not (0.0 < alpha < 1.0):
         raise SectorContextError("hypothesis violated: alpha must lie in (0, 1)")
@@ -744,8 +743,8 @@ def lemma3_limit_check(alpha: float, lam: complex,
         raa = _term_ratio_plan(alpha, complex(alpha), z_top)
         r1 = _term_ratio_plan(alpha, 1.0, z_top)
 
-        def eaa_vec(z: np.ndarray) -> np.ndarray:
-            return _series_by_ratios(alpha, complex(alpha), raa, z)
+        def eaa_vec(v: np.ndarray) -> np.ndarray:
+            return _series_by_ratios(alpha, complex(alpha), raa, lam * v)
 
         def e1_val(z: complex) -> complex:
             return complex(_series_by_ratios(alpha, 1.0, r1, np.array([z]))[0])
@@ -755,8 +754,9 @@ def lemma3_limit_check(alpha: float, lam: complex,
         paa = MLParams(alpha, complex(alpha))
         p1 = MLParams(alpha, 1.0)
 
-        def eaa_vec(z: np.ndarray) -> np.ndarray:
-            return np.array([ml_eval(paa, complex(zz)).value for zz in z])
+        def eaa_vec(v: np.ndarray) -> np.ndarray:
+            # one batched path integral over the panel's nodes, v > 0
+            return ml_contour_deriv(paa, lam, v ** inv_alpha, 0).value
 
         def e1_val(z: complex) -> complex:
             return ml_eval(p1, z).value
@@ -769,7 +769,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
 
         def f(v: np.ndarray) -> np.ndarray:
             vr = np.real(v)
-            return eaa_vec(lam * v) * g(u - vr ** inv_alpha) / alpha
+            return eaa_vec(vr) * g(u - vr ** inv_alpha) / alpha
 
         num, num_err = integrate_path(f, [line_segment(0.0, ua)])
         den = e1_val(lam * ua)

@@ -58,9 +58,11 @@ __all__ = [
     "ContourSpec",
     "RegionClass",
     "admissible_specs",
+    "cauchy_integral",
     "classify_region",
     "contour_distance",
     "contour_path",
+    "integrate_gamma",
     "ml_contour",
     "ml_contour_deriv",
     "recip_gamma_via_contour",
@@ -135,9 +137,10 @@ def contour_path(spec: ContourSpec) -> list[PathSegment]:
     return [down, arc, up]
 
 
-def _integrate_gamma(spec: ContourSpec, f, controls: QuadratureControls,
-                     arclength: bool = False):
-    """Integral of f over gamma: (value, err, panels), orientation included."""
+def integrate_gamma(spec: ContourSpec, f, controls: QuadratureControls,
+                    arclength: bool = False):
+    """Integral of f over gamma: (value, err, panels), orientation included;
+    ``f`` and ``arclength`` are as ``integrate_path`` takes them."""
     panels = 0
 
     def counted(zeta: np.ndarray) -> np.ndarray:
@@ -166,8 +169,8 @@ def _kernel_factory(spec: ContourSpec, beta: complex):
     return kernel
 
 
-def _cauchy_integral(spec: ContourSpec, p: MLParams, z,
-                     controls: QuadratureControls, order: int):
+def cauchy_integral(spec: ContourSpec, p: MLParams, z,
+                    controls: QuadratureControls, order: int):
     """The path integral I(z), or for order = l its derivative-kernel variant
 
         1/(2 alpha pi i) * integral over gamma of
@@ -177,7 +180,9 @@ def _cauchy_integral(spec: ContourSpec, p: MLParams, z,
     1-D array of them; an array shares one adaptive partition of the path
     between all its arguments (the kernel is evaluated once per node) and
     gives arrays of values and error estimates.  Every argument must be
-    finite and sit off the path.
+    finite and sit off the path.  For z in G+ this is the remainder
+    E_{alpha,beta}(z) minus the explicit term, which the interior
+    certificates of ``bounds`` measure directly.
     """
     if spec.alpha != p.alpha:
         raise DomainError("contour spec and parameters disagree on alpha")
@@ -200,7 +205,7 @@ def _cauchy_integral(spec: ContourSpec, p: MLParams, z,
     def f(zeta: np.ndarray) -> np.ndarray:
         return kernel(zeta) * lfac / (zeta - col) ** power
 
-    value, err, panels = _integrate_gamma(spec, f, controls)
+    value, err, panels = integrate_gamma(spec, f, controls)
     pref = 1.0 / (2.0 * spec.alpha * math.pi)
     # prefactor 1/(2 alpha pi i): dividing by i rotates, magnitude unchanged
     return value * pref / 1j, err * pref, panels
@@ -240,23 +245,22 @@ def _explicit_term(alpha: float, beta: complex, z: complex, order: int = 0) -> c
             "explicit exponential term overflows double precision") from exc
 
 
-def admissible_specs(alpha: float, z: complex):
-    """Yield the paths that keep at least 1e-3 * max(1, |z|) from z, in
-    order of preference: ray angles 0.75, 0.625, 0.875, 0.5625, 0.9375 of
-    alpha*pi, each with radius eps0, eps0/2, 2*eps0 (eps0 = 1, or |z|/2 for
-    1.4e-3 <= |z| <= 2: below, even radius |z|/4 keeps only 3|z|/4 < 1e-3).
+def admissible_specs(alpha: float, z):
+    """Yield the paths that keep at least 1e-3 * max(1, |z_j|) from every
+    entry z_j of ``z`` (one number or a 1-D array), in order of preference:
+    ray angles 0.75, 0.625, 0.875, 0.5625, 0.9375 of alpha*pi, each with
+    radius 1, 1/2 and 2.
 
     The first spec is the one the path route takes when no spec is given;
     the later ones give other partitions and nodes for a cross-check.
     """
-    az = abs(z)
-    eps0 = az / 2.0 if 1.4e-3 <= az <= 2.0 else 1.0
-    scale = max(1.0, az)
+    zs = np.atleast_1d(np.asarray(z, dtype=complex)).tolist()
     for frac in (0.75, 0.625, 0.875, 0.5625, 0.9375):
         theta = frac * alpha * math.pi
-        for eps in (eps0, 0.5 * eps0, 2.0 * eps0):
+        for eps in (1.0, 0.5, 2.0):
             spec = ContourSpec(alpha, theta, eps)
-            if contour_distance(spec, z) >= 1e-3 * scale:
+            if all(contour_distance(spec, zj) >= 1e-3 * max(1.0, abs(zj))
+                   for zj in zs):
                 yield spec
 
 
@@ -265,9 +269,9 @@ def ml_contour(p: MLParams, z: complex,
     """E_{alpha,beta}(z) through the path representation (alpha < 1): the
     l = 0, t = 1 case of ``ml_contour_deriv`` at DEFAULT_CONTROLS.
 
-    With ``spec=None`` the angle/radius are chosen automatically so the
-    argument keeps a healthy distance from the path.  A caller-provided
-    spec is used as-is and rejected if the argument sits too close.
+    With ``spec=None`` the path is the first of ``admissible_specs``, so the
+    argument keeps a healthy distance from it.  A caller-provided spec is
+    used as-is and rejected if the argument sits too close.
     """
     require_finite("z", z)
     return _path_route(p, complex(z), 1.0, 0, None, spec)
@@ -285,22 +289,18 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
 
     ``t`` is one time or a 1-D array of them.  An array gives an EvalResult
     whose value and err_estimate are arrays, from one batched path integral
-    on one spec (its panels are the shared partition).  The arguments
-    lambda t**alpha then lie on one ray, so the default spec, the first one
-    admissible at the smallest |z|, clears every one of them.
+    on one spec (its panels are the shared partition).  The default spec is
+    the first one ``admissible_specs`` yields for all the arguments
+    lambda t**alpha together.
     """
     if l < 0 or l != int(l):
         raise DomainError("derivative order must be a nonnegative integer")
     require_finite("lam", lam)
-    if np.ndim(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 1 or not t.size:
-            raise DomainError("t must be a number or a nonempty 1-D array")
-        t_min = t.min()
-    else:
-        t = t_min = float(t)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or not t.size:
+        raise DomainError("t must be a number or a nonempty 1-D array")
     require_finite("t", t)
-    if t_min <= 0.0:
+    if t.min() <= 0.0:
         raise DomainError("the path route needs t > 0")
     return _path_route(p, complex(lam), t, int(l), controls, spec)
 
@@ -309,40 +309,32 @@ def _path_route(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
                 controls: QuadratureControls | None,
                 spec: ContourSpec | None) -> EvalResult:
     """The path route of ``ml_contour`` and ``ml_contour_deriv`` on their
-    validated arguments; an array ``t`` makes one batched integral."""
-    t_alpha = t ** p.alpha
+    validated arguments: one batched integral over every time in ``t``, plus
+    the explicit term with its error bar at each z in G+ of the path.  A
+    single time runs as a length-1 array and its result is unwrapped."""
+    t_alpha = np.atleast_1d(t) ** p.alpha
     z = lam * t_alpha
     if spec is None:
-        z_near = lam * t_alpha.min() if isinstance(t, np.ndarray) else z
-        spec = next(admissible_specs(p.alpha, z_near), None)
+        spec = next(admissible_specs(p.alpha, z), None)
         if spec is None:
             raise EvaluationError("no admissible path separates the argument")
-    value, err, panels = _cauchy_integral(spec, p, z, controls or DEFAULT_CONTROLS, l)
+    value, err, panels = cauchy_integral(spec, p, z, controls or DEFAULT_CONTROLS, l)
     scale = t_alpha ** l
     value *= scale
     err *= scale
-    if isinstance(t, np.ndarray):
-        for j, zj in enumerate(z.tolist()):
-            value[j], err[j] = _add_explicit(spec, p, zj, l, scale[j], value[j], err[j])
-    else:
-        value, err = _add_explicit(spec, p, z, l, scale, value, err)
+    for j, zj in enumerate(z.tolist()):
+        if classify_region(spec, zj) is RegionClass.G_PLUS:
+            expl = _explicit_term(p.alpha, p.beta, zj, order=l) * scale[j]
+            value[j] += expl
+            # exp(w), w = z**(1/alpha), carries the absolute rounding of w: about
+            # eps |w| from z itself and eps |w| |Log z| / alpha from the
+            # logarithm and the exponent 1/alpha
+            w_mod = abs(zj) ** (1.0 / p.alpha)
+            log_mod = abs(cmath.log(zj))
+            err[j] += 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / p.alpha)) * abs(expl)
+    if not np.ndim(t):
+        value, err = value[0], err[0]
     return EvalResult(value, err, "contour", panels)
-
-
-def _add_explicit(spec: ContourSpec, p: MLParams, z: complex, l: int,
-                  scale: float, value: complex, err: float):
-    """(value, err) of the path integral at z, with the explicit term and its
-    error bar added when z lies in G+ of ``spec``."""
-    if classify_region(spec, z) is RegionClass.G_PLUS:
-        expl = _explicit_term(p.alpha, p.beta, z, order=l) * scale
-        value += expl
-        # exp(w), w = z**(1/alpha), carries the absolute rounding of w: about
-        # eps |w| from z itself and eps |w| |Log z| / alpha from the
-        # logarithm and the exponent 1/alpha
-        w_mod = abs(z) ** (1.0 / p.alpha)
-        log_mod = abs(cmath.log(z))
-        err += 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / p.alpha)) * abs(expl)
-    return value, err
 
 
 def recip_gamma_via_contour(alpha: float, b: complex,
@@ -359,5 +351,5 @@ def recip_gamma_via_contour(alpha: float, b: complex,
         theta = 0.75 * alpha * math.pi
     spec = ContourSpec(alpha, theta, eps)
     kernel = _kernel_factory(spec, b)
-    value, _, _ = _integrate_gamma(spec, kernel, DEFAULT_CONTROLS)
+    value, _, _ = integrate_gamma(spec, kernel, DEFAULT_CONTROLS)
     return value / (2.0 * alpha * math.pi * 1j)

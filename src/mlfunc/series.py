@@ -139,7 +139,9 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     second scale is the rounding floor the error estimate already carries,
     so a cancelling sum stops there instead of running into overflow.
     A zero term at a pole of Gamma is not convergence: unless w = 0, the
-    sum runs at least two terms past the last pole.
+    sum runs at least two terms past the last pole.  Such a term still
+    carries an error: near the pole -m, 1/Gamma(x) ~ (-1)^m m! (x + m), and
+    x = alpha*k + beta is rounded by up to eps*(alpha*k + |beta|).
     Returns (value, err_estimate, n_terms) or raises SeriesConvergenceError.
     """
     alpha, beta = p.alpha, p.beta
@@ -148,12 +150,16 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     s_re = c_re = s_im = c_im = 0.0
     perm = float(math.factorial(l))
     pw = complex(t_alpha_l)  # perm * pw accumulates the non-gamma factor
-    abs_sum = 0.0
+    abs_sum = pole_err = 0.0
     prev_mag = math.inf
     tail = math.inf
     n = 0
     for k in range(l, l + _MAX_TERMS):
         term = perm * pw * recip_gamma(alpha * k + beta)
+        if k in poles:
+            m = round(-(alpha * k + beta.real))
+            pole_err += (abs(perm * pw) * math.factorial(m)
+                         * 2.0 * _EPS * (alpha * k + abs(beta)))
         mag = abs(term)
         if not math.isfinite(mag):
             raise SeriesConvergenceError(
@@ -180,14 +186,15 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
             if mag <= target and tail <= target and k >= first_stop:
                 # per-term gamma rounding accumulates over the whole sum of
                 # magnitudes; this also covers the cancellation penalty
-                err = abs_sum * 100.0 * _EPS + tail
+                err = abs_sum * 100.0 * _EPS + tail + pole_err
                 return value, err, n
         perm *= (k + 1.0) / (k + 1.0 - l)
         pw *= w
     raise SeriesConvergenceError(
         f"series did not converge within {_MAX_TERMS} terms",
         value=complex(s_re + c_re, s_im + c_im),
-        err_estimate=abs_sum * 100.0 * _EPS + (tail if math.isfinite(tail) else abs_sum),
+        err_estimate=(abs_sum * 100.0 * _EPS + pole_err
+                      + (tail if math.isfinite(tail) else abs_sum)),
     )
 
 
@@ -228,12 +235,10 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
     Working precision is sized from the scanned term profile so that the
     largest term carries ~25 guard digits past the final rounding; one
     retry widens the precision if the result turns out far smaller than
-    the a-priori floor assumed.
+    the a-priori floor assumed.  Needs lam != 0 and t > 0, which
+    ``ml_series_deriv`` answers in closed form before it gets here.
     """
     alpha, beta = p.alpha, p.beta
-    if lam == 0 or t == 0.0:
-        value = complex(recip_gamma(beta)) if l == 0 else 0j
-        return value, abs(value) * _EPS, 1
     k_grid, prof, pole = _term_log10_profile(p, lam, t, l)
     max_log10 = float(prof.max())
     peak_at = int(np.argmax(prof))

@@ -263,7 +263,7 @@ def test_exterior_certificates_make_one_batched_integral_per_family_order_path(
     # criterion 5's input: no scalar route, one array integral per
     # (family, order, path) for lemma4 and one for lemma2-iii
     calls = []
-    batched = contour._cauchy_integral
+    batched = contour.cauchy_integral
 
     def counted(spec, p, z, controls, order):
         calls.append(np.shape(z))
@@ -272,7 +272,7 @@ def test_exterior_certificates_make_one_batched_integral_per_family_order_path(
     def refused(*args, **kwargs):
         raise AssertionError("scalar evaluation in an exterior certificate")
 
-    monkeypatch.setattr(contour, "_cauchy_integral", counted)
+    monkeypatch.setattr(contour, "cauchy_integral", counted)
     monkeypatch.setattr("mlfunc.series.evaluate", refused)
     monkeypatch.setattr(bounds, "ml_eval", refused)
     ctx = sector_context(0.8, cmath.exp(0.75j * math.pi))

@@ -3,7 +3,10 @@
 import io
 import json
 import math
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +304,18 @@ def test_eval_tiny_alpha_left_argument_takes_the_contour_route():
     rec = json.loads(out)["records"][0]
     assert rec["method"] == "contour"
     assert rec["value"]["re"] == pytest.approx(0.16250645664935, rel=1e-12)
+
+
+def test_readme_examples_run():
+    # every `mlfunc ...` line of the README's sh blocks, as a user would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("mlfunc ")]
+    assert any("--lambda-mod" in line for line in lines)
+    for line in lines:
+        rc, out, _ = run(shlex.split(line)[1:])
+        assert rc == EXIT_OK, line
+        assert json.loads(out)["schema"] == "mlfunc/1", line
 
 
 def test_exit_fail_on_shrunk_constant():

@@ -12,9 +12,9 @@ from mlfunc.bounds import _CERT_QUAD, _interior_eval_spec, certify_lemma2_i, sec
 from mlfunc.contour import (
     ContourSpec,
     RegionClass,
-    _cauchy_integral,
     _explicit_term,
     admissible_specs,
+    cauchy_integral,
     classify_region,
     contour_distance,
     ml_contour,
@@ -165,6 +165,18 @@ def test_auto_spec_serves_tiny_arguments(z):
     assert abs(c.value - s.value) <= c.err_estimate + s.err_estimate
 
 
+@pytest.mark.parametrize("beta,alpha,z", [(2.5, 0.3, 1.5e-3), (3.0, 0.2, 1.5e-3),
+                                          (3.0, 0.2, 0.01)])
+def test_auto_spec_keeps_the_digits_of_small_arguments(beta, alpha, z):
+    # a path of radius |z|/2 passes close to 0, where zeta**((1-beta)/alpha)
+    # blows up for beta > 1: it lost every digit here, or found no path
+    p = MLParams(alpha, beta)
+    c = ml_contour(p, z)
+    s = ml_series_deriv(p, z, 1.0, 0, extended=True)
+    assert abs(c.value - s.value) <= 1e-12 * abs(s.value)
+    assert abs(c.value - s.value) <= c.err_estimate + s.err_estimate
+
+
 # -------------------------------------------------------------- derivatives
 
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
@@ -247,10 +259,10 @@ def test_batched_cauchy_integral_matches_one_argument_calls(alpha, polar):
     zs = [z for z in zs if contour_distance(spec, z) >= 1e-2 * max(1.0, abs(z))]
     if not zs:
         return
-    values, errs, _ = _cauchy_integral(spec, p, np.array(zs), _QUAD, 0)
+    values, errs, _ = cauchy_integral(spec, p, np.array(zs), _QUAD, 0)
     assert values.shape == errs.shape == (len(zs),)
     for z, value, err in zip(zs, values, errs):
-        one, one_err, _ = _cauchy_integral(spec, p, z, _QUAD, 0)
+        one, one_err, _ = cauchy_integral(spec, p, z, _QUAD, 0)
         assert abs(value - one) <= err + one_err
 
 
@@ -263,10 +275,10 @@ def test_batched_cauchy_integral_near_path_column_keeps_others_accurate():
     near = 3.0 * ray + 1e-3 * 1j * ray
     assert classify_region(spec, near) is not RegionClass.NEAR_CONTOUR
     zs = [near, -5.0, 2.0 + 1.0j, 10.0, 0.3j]
-    values, errs, panels = _cauchy_integral(spec, p, np.array(zs), _QUAD, 1)
+    values, errs, panels = cauchy_integral(spec, p, np.array(zs), _QUAD, 1)
     single_panels = 0
     for z, value, err in zip(zs, values, errs):
-        one, one_err, n = _cauchy_integral(spec, p, z, _QUAD, 1)
+        one, one_err, n = cauchy_integral(spec, p, z, _QUAD, 1)
         single_panels += n
         assert abs(value - one) <= err + one_err
         assert err <= 1e-11 * abs(one) + 1e-13
@@ -281,7 +293,7 @@ def test_batched_remainder_plus_explicit_term_matches_series():
     p = MLParams(0.6, 1.0)
     picked = [report.points[k] for k in (0, 5, 10)]
     zs = np.array([ctx.lam * pt.t ** ctx.alpha for pt in picked])
-    values, errs, _ = _cauchy_integral(_interior_eval_spec(ctx), p, zs, _CERT_QUAD, 0)
+    values, errs, _ = cauchy_integral(_interior_eval_spec(ctx), p, zs, _CERT_QUAD, 0)
     for pt, z, value, err in zip(picked, zs, values, errs):
         assert abs(value) == pytest.approx(pt.measured, rel=1e-13)
         expl = _explicit_term(0.6, 1.0, complex(z))
@@ -312,6 +324,21 @@ def test_array_t_matches_one_time_calls(alpha, beta, r, phi, l, ts):
     for t, value, err in zip(ts, res.value, res.err_estimate):
         one = ml_contour_deriv(p, lam, float(t), l, spec=spec)
         assert abs(value - one.value) <= err + one.err_estimate
+
+
+def test_array_t_path_clears_every_argument():
+    # |z| = 1e-4, 0.9999, 3 on one ray: the smallest argument alone admits
+    # the unit-radius path, which passes 1e-4 from the middle one
+    p = MLParams(0.6, 1.0)
+    ts = np.array([1e-4, 0.9999, 3.0]) ** (1.0 / 0.6)
+    zs = ts ** 0.6
+    for spec in admissible_specs(0.6, zs):
+        assert all(contour_distance(spec, z) >= 1e-3 * max(1.0, z) for z in zs)
+    res = ml_contour_deriv(p, 1.0, ts, 0)
+    for t, value, err in zip(ts, res.value, res.err_estimate):
+        oracle = ml_series_deriv(p, 1.0, float(t), 0, extended=True)
+        assert abs(value - oracle.value) <= err + oracle.err_estimate
+        assert err <= 1e-12 * abs(oracle.value)
 
 
 @pytest.mark.parametrize("t", [[], [[1.0, 2.0]], [1.0, 0.0, 2.0]])
@@ -345,4 +372,4 @@ def test_contour_derivative_rejects_non_finite_arguments(lam, t):
 def test_batched_cauchy_integral_rejects_a_non_finite_column(bad):
     zs = np.array([-5.0, bad, 2.0 + 1.0j])
     with pytest.raises(DomainError, match="argument z must be finite"):
-        _cauchy_integral(_spec(0.6), MLParams(0.6, 1.0), zs, _QUAD, 0)
+        cauchy_integral(_spec(0.6), MLParams(0.6, 1.0), zs, _QUAD, 0)

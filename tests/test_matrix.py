@@ -245,9 +245,14 @@ def test_matrix_checks_reject_non_finite_horizons(call, name):
 @pytest.mark.parametrize("alpha, blocks, t_cut, t_far", [
     (0.5, ((-1.0, 2),), 50.0, 800.0),
     (0.7, ((-2.0, 3), (cmath.exp(0.8j * math.pi), 2)), 10.0, 200.0),
+    # a similarity transform scales the tail by cond(T) = 3.86
+    pytest.param(0.5, JordanSpec(blocks=((-1.0, 1), (-2.0, 1)),
+                                 transform=np.array([[1.0, 0.9], [0.0, 0.5]]),
+                                 transform_inv=np.array([[1.0, -1.8], [0.0, 2.0]])),
+                 50.0, 800.0, id="transformed"),
 ])
 def test_integral_check_tail_covers_a_longer_horizon(alpha, blocks, t_cut, t_far):
-    spec = JordanSpec(blocks=blocks)
+    spec = blocks if isinstance(blocks, JordanSpec) else JordanSpec(blocks=blocks)
     near = integral_check(alpha, spec, t_max=t_cut)
     far = integral_check(alpha, spec, t_max=t_far)
     # the tail past t_cut must cover what the quadrature finds on [t_cut, t_far]
@@ -258,6 +263,6 @@ def test_integral_check_tail_covers_a_longer_horizon(alpha, blocks, t_cut, t_far
         sum(m / math.factorial(l)
             for l, m in enumerate(lemma4_constants(
                 sector_context(alpha, lam, side="exterior"), size - 1).m_hat_l))
-        for lam, size in blocks
+        for lam, size in spec.blocks
     ) / (alpha * t_cut ** alpha)
     assert near.tail_bound <= first_order

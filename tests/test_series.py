@@ -252,6 +252,17 @@ def test_gamma_pole_terms_do_not_end_the_sum(alpha, beta, z):
     assert at_zero.value == recip_gamma(beta) and at_zero.terms_or_panels == 3
 
 
+def test_pole_term_bar_covers_the_rounding_of_its_argument():
+    # alpha*3 + beta is 0 in doubles, a pole of Gamma, but 5.6e-17 for the
+    # exact inputs: the k = 3 term 3! * 1/Gamma(5.6e-17) = 3.3e-16 is lost,
+    # which is most of the error at this small argument
+    p = MLParams(0.3, -3.0 * 0.3)
+    z = 1e-6 * 250.0 ** 0.3
+    plain = ml_series_deriv(p, z, 1.0, 3, extended=False)
+    oracle = ml_series_deriv(p, z, 1.0, 3, extended=True)
+    assert abs(plain.value - oracle.value) <= plain.err_estimate + oracle.err_estimate
+
+
 def test_forced_plain_mode_reports_honest_error():
     # extended=False must return the plain result as-is, with an error
     # estimate that admits the cancellation instead of hiding it
