@@ -38,11 +38,12 @@ points share one code path for the underived case.
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import digamma, loggamma
 
 from .numcore import DomainError, QuadratureControls, recip_gamma, require_finite
 
@@ -120,13 +121,29 @@ class EvalControls:
 
 def _pole_terms(alpha: float, beta: complex, l: int, n: int) -> list[int]:
     """The k in [l, l + n) at which alpha*k + beta is a pole of Gamma, a
-    nonpositive integer up to the rounding of alpha*k, so that the term
-    1/Gamma(alpha*k + beta) vanishes.  Poles need a real beta."""
+    nonpositive integer up to the rounding of alpha*k, where the term is
+    taken by ``_pole_term``.  Poles need a real beta."""
     if beta.imag != 0.0:
         return []
     k_end = int(min(l + n, (1.0 - beta.real) / alpha))  # past every pole
     return [k for k in range(l, k_end) if (x := alpha * k + beta.real) < 0.5
             and abs(math.remainder(x, 1.0)) <= 64.0 * _EPS * (1.0 + alpha * k)]
+
+
+def _pole_term(coef: complex, alpha: float, beta: float, k: int) -> complex:
+    """coef / Gamma(alpha*k + beta) at a pole term k.  The argument is -m + r
+    with r exact for the double inputs (0 at an exact pole), and
+    1/Gamma(-m + r) = (-1)^m m! r (1 - r psi(m + 1)) up to O(r^2); m! is
+    taken in log space, so a large m gives inf, which the caller reports
+    as overflow."""
+    x = Fraction(alpha) * k + Fraction(beta)
+    m, r = -round(x), float(x - round(x))
+    if r == 0.0 or coef == 0:
+        return 0j
+    log_mag = (math.log(abs(coef)) + math.log(abs(r)) + math.lgamma(m + 1)
+               - r * float(digamma(m + 1)))
+    mag = math.exp(log_mag) if log_mag < 709.0 else math.inf
+    return coef / abs(coef) * math.copysign(mag, r) * (-1) ** m
 
 
 def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float):
@@ -139,9 +156,9 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     second scale is the rounding floor the error estimate already carries,
     so a cancelling sum stops there instead of running into overflow.
     A zero term at a pole of Gamma is not convergence: unless w = 0, the
-    sum runs at least two terms past the last pole.  Such a term still
-    carries an error: near the pole -m, 1/Gamma(x) ~ (-1)^m m! (x + m), and
-    x = alpha*k + beta is rounded by up to eps*(alpha*k + |beta|).
+    sum runs at least two terms past the last pole, and the pole term is
+    taken from the exact offset of alpha*k + beta (``_pole_term``), which
+    the rounded argument loses.
     Returns (value, err_estimate, n_terms) or raises SeriesConvergenceError.
     """
     alpha, beta = p.alpha, p.beta
@@ -150,16 +167,15 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     s_re = c_re = s_im = c_im = 0.0
     perm = float(math.factorial(l))
     pw = complex(t_alpha_l)  # perm * pw accumulates the non-gamma factor
-    abs_sum = pole_err = 0.0
+    abs_sum = 0.0
     prev_mag = math.inf
     tail = math.inf
     n = 0
     for k in range(l, l + _MAX_TERMS):
-        term = perm * pw * recip_gamma(alpha * k + beta)
         if k in poles:
-            m = round(-(alpha * k + beta.real))
-            pole_err += (abs(perm * pw) * math.factorial(m)
-                         * 2.0 * _EPS * (alpha * k + abs(beta)))
+            term = _pole_term(perm * pw, alpha, beta.real, k)
+        else:
+            term = perm * pw * recip_gamma(alpha * k + beta)
         mag = abs(term)
         if not math.isfinite(mag):
             raise SeriesConvergenceError(
@@ -186,15 +202,14 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
             if mag <= target and tail <= target and k >= first_stop:
                 # per-term gamma rounding accumulates over the whole sum of
                 # magnitudes; this also covers the cancellation penalty
-                err = abs_sum * 100.0 * _EPS + tail + pole_err
+                err = abs_sum * 100.0 * _EPS + tail
                 return value, err, n
         perm *= (k + 1.0) / (k + 1.0 - l)
         pw *= w
     raise SeriesConvergenceError(
         f"series did not converge within {_MAX_TERMS} terms",
         value=complex(s_re + c_re, s_im + c_im),
-        err_estimate=(abs_sum * 100.0 * _EPS + pole_err
-                      + (tail if math.isfinite(tail) else abs_sum)),
+        err_estimate=abs_sum * 100.0 * _EPS + (tail if math.isfinite(tail) else abs_sum),
     )
 
 
@@ -271,11 +286,9 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
         # the sum should clear the rounding floor of the largest term by a
         # wide margin; if not, the cancellation was deeper than assumed
         if acc_mag == 0.0 or math.log10(acc_mag) > max_log10 - dps + 20:
-            err = abs(value) * 4.0 * _EPS + 10.0 ** (max_log10 - dps)
-            return value, err, n
+            break
         extra += 40
-    err = abs(value) * 4.0 * _EPS + 10.0 ** (max_log10 - dps)
-    return value, err, n
+    return value, abs(value) * 4.0 * _EPS + 10.0 ** (max_log10 - dps), n
 
 
 # --------------------------------------------------------------------------

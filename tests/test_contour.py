@@ -320,7 +320,7 @@ def test_array_t_matches_one_time_calls(alpha, beta, r, phi, l, ts):
     p = MLParams(alpha, beta)
     res = ml_contour_deriv(p, lam, ts, l)
     assert res.value.shape == res.err_estimate.shape == ts.shape
-    spec = next(admissible_specs(alpha, lam * ts.min() ** alpha))
+    spec = next(admissible_specs(alpha, lam * ts ** alpha))
     for t, value, err in zip(ts, res.value, res.err_estimate):
         one = ml_contour_deriv(p, lam, float(t), l, spec=spec)
         assert abs(value - one.value) <= err + one.err_estimate

@@ -252,15 +252,33 @@ def test_gamma_pole_terms_do_not_end_the_sum(alpha, beta, z):
     assert at_zero.value == recip_gamma(beta) and at_zero.terms_or_panels == 3
 
 
-def test_pole_term_bar_covers_the_rounding_of_its_argument():
+def test_pole_term_takes_the_exact_offset_of_its_argument():
     # alpha*3 + beta is 0 in doubles, a pole of Gamma, but 5.6e-17 for the
-    # exact inputs: the k = 3 term 3! * 1/Gamma(5.6e-17) = 3.3e-16 is lost,
-    # which is most of the error at this small argument
+    # exact inputs: the k = 3 term 3! * 1/Gamma(5.6e-17) = 3.3e-16 is most
+    # of the value's error at this small argument unless it is kept
     p = MLParams(0.3, -3.0 * 0.3)
     z = 1e-6 * 250.0 ** 0.3
     plain = ml_series_deriv(p, z, 1.0, 3, extended=False)
     oracle = ml_series_deriv(p, z, 1.0, 3, extended=True)
     assert abs(plain.value - oracle.value) <= plain.err_estimate + oracle.err_estimate
+    assert abs(plain.value - oracle.value) <= 1e-12 * abs(oracle.value)
+    assert evaluate(p, z, 1.0, 3).method == "series"
+
+
+def test_exact_pole_terms_stay_zero_at_any_order():
+    # 0.5 k - 5 and k - 200 are exact poles: their terms are zero, with no
+    # error charged, and m! past the double range raises nothing
+    res = evaluate(MLParams(0.5, -5.0), 1e-3, 1.0, 0)
+    oracle = ml_series_deriv(MLParams(0.5, -5.0), 1e-3, 1.0, 0, extended=True)
+    assert res.method == "series"
+    assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+    # E_{1,-200}(z) = z^201 e^z
+    for res in (ml_series(MLParams(1.0, -200.0), 1.0),
+                evaluate(MLParams(1.0, -200.0), 1.0, 1.0, 0)):
+        assert res.value == pytest.approx(math.e, rel=1e-13)
+        assert abs(res.value - math.e) <= res.err_estimate
+    res = ml_series(MLParams(0.5, -171.0), 1e-3)
+    assert math.isfinite(abs(res.value)) and res.terms_or_panels > 342
 
 
 def test_forced_plain_mode_reports_honest_error():
