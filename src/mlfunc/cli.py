@@ -485,12 +485,12 @@ def _cmd_matrix(opt: _Options) -> int:
         t_values = [float(t) for t in opt.get("t_grid")]
     else:
         raise UsageError("give --t or --t-grid for matrix values")
+    if min(t_values) < 0.0:
+        raise UsageError("--t values must be nonnegative")
     records = []
     rows = []
-    for t in t_values:
-        if t < 0.0:
-            raise UsageError("--t values must be nonnegative")
-        m = ml_matrix(p, spec, t)
+    # one array call for the whole grid
+    for t, m in zip(t_values, ml_matrix(p, spec, np.array(t_values))):
         records.append({"t": t, "matrix": m,
                         "norm2": float(np.linalg.norm(m, 2))})
         for r in range(m.shape[0]):

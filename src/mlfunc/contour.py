@@ -51,6 +51,8 @@ from .numcore import (
     principal_arg,
     radial_ray,
     require_finite,
+    require_grid,
+    require_orders,
 )
 from .series import EvalResult, EvaluationError, MLParams
 
@@ -170,24 +172,24 @@ def _kernel_factory(spec: ContourSpec, beta: complex):
 
 
 def cauchy_integral(spec: ContourSpec, p: MLParams, z,
-                    controls: QuadratureControls, order: int):
+                    controls: QuadratureControls, order):
     """The path integral I(z), or for order = l its derivative-kernel variant
 
         1/(2 alpha pi i) * integral over gamma of
             exp(zeta**(1/alpha)) zeta**((1-beta)/alpha) * l! / (zeta - z)**(l+1)
 
     returned as (value, err_estimate, panels).  ``z`` is one argument or a
-    1-D array of them; an array shares one adaptive partition of the path
-    between all its arguments (the kernel is evaluated once per node) and
-    gives arrays of values and error estimates.  Every argument must be
-    finite and sit off the path.  For z in G+ this is the remainder
-    E_{alpha,beta}(z) minus the explicit term, which the interior
-    certificates of ``bounds`` measure directly.
+    1-D array of them, and ``order`` one order or a 1-D array of them
+    matched to ``z`` (a single z is shared by every order).  Each row is
+    then one (z, l) pair; all rows share one adaptive partition of the path
+    (the kernel is evaluated once per node) and give arrays of values and
+    error estimates.  Every argument must be finite and sit off the path.
+    For z in G+ this is the remainder E_{alpha,beta}(z) minus the explicit
+    term, which the interior certificates of ``bounds`` measure directly.
     """
     if spec.alpha != p.alpha:
         raise DomainError("contour spec and parameters disagree on alpha")
-    if order < 0 or order != int(order):
-        raise DomainError("order must be a nonnegative integer")
+    order = require_orders("order", order)
     zs = np.asarray(z, dtype=complex)
     require_finite("z", zs)
     if zs.ndim > 1:
@@ -195,12 +197,19 @@ def cauchy_integral(spec: ContourSpec, p: MLParams, z,
     if any(classify_region(spec, zj) is RegionClass.NEAR_CONTOUR
            for zj in zs.reshape(-1).tolist()):
         raise DomainError("argument lies on or near the integration path")
+    if isinstance(order, np.ndarray):
+        if zs.ndim and zs.shape != order.shape:
+            raise DomainError("order must be one integer or an array as long as z")
+        zs = np.broadcast_to(zs, order.shape)
+        lfac = np.array([math.factorial(k) for k in order.tolist()], dtype=float)[:, None]
+        power = order[:, None] + 1
+    else:
+        lfac = float(math.factorial(order))
+        power = order + 1
     # a column of arguments against the row of nodes gives one integrand
-    # per argument; a single argument keeps the 1-D integrand
+    # per row; a single argument at a single order keeps the 1-D integrand
     col = zs[:, None] if zs.ndim else complex(z)
     kernel = _kernel_factory(spec, p.beta)
-    lfac = float(math.factorial(int(order)))
-    power = int(order) + 1
 
     def f(zeta: np.ndarray) -> np.ndarray:
         return kernel(zeta) * lfac / (zeta - col) ** power
@@ -277,7 +286,8 @@ def ml_contour(p: MLParams, z: complex,
     return _path_route(p, complex(z), 1.0, 0, None, spec)
 
 
-def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
+def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray,
+                     l: int | np.ndarray,
                      controls: QuadratureControls | None = None,
                      spec: ContourSpec | None = None) -> EvalResult:
     """l-th lambda-derivative of E_{alpha,beta}(lambda t**alpha) by the path route.
@@ -287,44 +297,52 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
     term is differentiated in closed form.  ``controls`` defaults to
     DEFAULT_CONTROLS; the certificates pass ``bounds._CERT_QUAD``.
 
-    ``t`` is one time or a 1-D array of them.  An array gives an EvalResult
-    whose value and err_estimate are arrays, from one batched path integral
-    on one spec (its panels are the shared partition).  The default spec is
-    the first one ``admissible_specs`` yields for all the arguments
-    lambda t**alpha together.
+    ``t`` is one time or a 1-D array of them, and ``l`` one order or a 1-D
+    array of them; the two broadcast together, and entry j is the l_j-th
+    derivative at t_j.  An array gives an EvalResult whose value and
+    err_estimate are arrays, from one batched path integral on one spec
+    (its panels are the shared partition).  The default spec is the first
+    one ``admissible_specs`` yields for all the arguments lambda t**alpha
+    together; when no path clears them all, the entries are grouped by the
+    first path that clears each one, one integral per group, and the
+    panels add up.
     """
-    if l < 0 or l != int(l):
-        raise DomainError("derivative order must be a nonnegative integer")
+    l = require_orders("l", l)
     require_finite("lam", lam)
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1 or not t.size:
-        raise DomainError("t must be a number or a nonempty 1-D array")
-    require_finite("t", t)
+    t = require_grid("t", t)
     if t.min() <= 0.0:
         raise DomainError("the path route needs t > 0")
-    return _path_route(p, complex(lam), t, int(l), controls, spec)
+    if isinstance(l, np.ndarray):
+        try:
+            t, l = np.broadcast_arrays(t, l)
+        except ValueError:
+            raise DomainError(f"arguments t and l must broadcast together, got "
+                              f"lengths {t.size} and {l.size}") from None
+    return _path_route(p, complex(lam), t, l, controls, spec)
 
 
-def _path_route(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
-                controls: QuadratureControls | None,
+def _path_route(p: MLParams, lam: complex, t: float | np.ndarray,
+                l: int | np.ndarray, controls: QuadratureControls | None,
                 spec: ContourSpec | None) -> EvalResult:
     """The path route of ``ml_contour`` and ``ml_contour_deriv`` on their
-    validated arguments: one batched integral over every time in ``t``, plus
-    the explicit term with its error bar at each z in G+ of the path.  A
-    single time runs as a length-1 array and its result is unwrapped."""
+    validated arguments (an array ``l`` has the shape of ``t``): one batched
+    integral over every (t, l) entry, plus the explicit term with its error
+    bar at each z in G+ of the path.  A single time runs as a length-1
+    array and its result is unwrapped."""
     t_alpha = np.atleast_1d(t) ** p.alpha
     z = lam * t_alpha
     if spec is None:
         spec = next(admissible_specs(p.alpha, z), None)
         if spec is None:
-            raise EvaluationError("no admissible path separates the argument")
+            return _grouped_path_route(p, lam, np.atleast_1d(t), l, controls, z)
     value, err, panels = cauchy_integral(spec, p, z, controls or DEFAULT_CONTROLS, l)
     scale = t_alpha ** l
     value *= scale
     err *= scale
-    for j, zj in enumerate(z.tolist()):
+    orders = l.tolist() if isinstance(l, np.ndarray) else [l] * z.size
+    for j, (zj, lj) in enumerate(zip(z.tolist(), orders)):
         if classify_region(spec, zj) is RegionClass.G_PLUS:
-            expl = _explicit_term(p.alpha, p.beta, zj, order=l) * scale[j]
+            expl = _explicit_term(p.alpha, p.beta, zj, order=lj) * scale[j]
             value[j] += expl
             # exp(w), w = z**(1/alpha), carries the absolute rounding of w: about
             # eps |w| from z itself and eps |w| |Log z| / alpha from the
@@ -334,6 +352,28 @@ def _path_route(p: MLParams, lam: complex, t: float | np.ndarray, l: int,
             err[j] += 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / p.alpha)) * abs(expl)
     if not np.ndim(t):
         value, err = value[0], err[0]
+    return EvalResult(value, err, "contour", panels)
+
+
+def _grouped_path_route(p: MLParams, lam: complex, t: np.ndarray,
+                        l: int | np.ndarray, controls: QuadratureControls | None,
+                        z: np.ndarray) -> EvalResult:
+    """``_path_route`` when no one path clears every argument in ``z``: the
+    entries are grouped by the first path that clears each alone, and each
+    group takes one batched integral on its path.  The panels add up."""
+    firsts = [next(admissible_specs(p.alpha, zj), None) for zj in z.tolist()]
+    if None in firsts:
+        raise EvaluationError("no admissible path separates the argument")
+    orders = np.broadcast_to(l, t.shape)
+    value = np.empty(t.shape, dtype=complex)
+    err = np.empty(t.shape)
+    panels = 0
+    for spec in dict.fromkeys(firsts):
+        rows = [j for j, first in enumerate(firsts) if first == spec]
+        part = _path_route(p, lam, t[rows], orders[rows], controls, spec)
+        value[rows] = part.value
+        err[rows] = part.err_estimate
+        panels += part.terms_or_panels
     return EvalResult(value, err, "contour", panels)
 
 

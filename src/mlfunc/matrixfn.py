@@ -8,8 +8,11 @@ Toeplitz matrix
 
     E(t^alpha J)[r, r+j] = (1/j!) d^j/dlambda^j E_{alpha,beta}(lambda t^alpha)
 
-so everything reduces to the scalar lambda-derivatives, evaluated by
-``mlfunc.series.evaluate`` (series or path route by |lambda| t^alpha).
+so everything reduces to the lambda-derivatives of orders 0..size-1.  A
+block takes them from one array call of ``mlfunc.series.evaluate`` for all
+its orders and all its times: each entry takes its scalar route (series or
+path by |lambda| t^alpha), and the path entries share one batched path
+integral.  ``ml_matrix`` takes one time or a 1-D array of them.
 
 ``decay_check`` and ``integral_check`` validate the two stability
 statements: under the sector condition |arg lambda_i| > alpha*pi/2 for all
@@ -41,7 +44,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .bounds import (
     SectorContextError,
@@ -56,8 +58,8 @@ from .numcore import (
     integrate_path,
     line_segment,
     principal_arg,
-    recip_gamma,
     require_finite,
+    require_grid,
 )
 from .series import EvalControls, MLParams, evaluate
 
@@ -182,34 +184,42 @@ def spectral_condition(a, alpha: float) -> SpectralReport:
     return SpectralReport(tuple(eigs), margin, satisfied, tuple(notes))
 
 
-def ml_jordan_block(p: MLParams, lam: complex, size: int, t: float,
+def ml_jordan_block(p: MLParams, lam: complex, size: int, t,
                     controls: QuadratureControls | None = None) -> np.ndarray:
-    """E_{alpha,beta}(t^alpha J) for one Jordan block J = lambda I + N."""
+    """E_{alpha,beta}(t^alpha J) for one Jordan block J = lambda I + N: a
+    (size, size) matrix for one time, an (n, size, size) stack for a 1-D
+    array of n times.  Every order at every time comes from one array call
+    of ``evaluate``."""
     if size != int(size) or int(size) < 1:
         raise DomainError("block size must be a positive integer")
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
+    ts = require_grid("t", t)
     size = int(size)
-    lam = complex(lam)
-    eval_controls = EvalControls(quad=controls or QuadratureControls())
-    out = np.zeros((size, size), dtype=complex)
-    if t == 0.0:
-        np.fill_diagonal(out, complex(recip_gamma(p.beta)))
-        return out
+    res = evaluate(p, complex(lam), np.repeat(ts, size), np.tile(np.arange(size), ts.size),
+                   EvalControls(quad=controls or QuadratureControls()))
+    values = res.value.reshape(ts.size, size)
+    out = np.zeros((ts.size, size, size), dtype=complex)
     for j in range(size):
-        entry = evaluate(p, lam, t, j, eval_controls).value / math.factorial(j)
+        # Python's complex division, as the scalar entry takes it; numpy
+        # multiplies by the reciprocal of j!, which can be one ulp off
+        entries = [v / math.factorial(j) for v in values[:, j].tolist()]
         for r in range(size - j):
-            out[r, r + j] = entry
-    return out
+            out[:, r, r + j] = entries
+    return out if ts.ndim else out[0]
 
 
-def ml_matrix(p: MLParams, a, t: float,
-              controls: QuadratureControls | None = None) -> np.ndarray:
-    """E_{alpha,beta}(t^alpha A) for a JordanSpec or a diagonalizable ndarray."""
+def ml_matrix(p: MLParams, a, t, controls: QuadratureControls | None = None) -> np.ndarray:
+    """E_{alpha,beta}(t^alpha A) for a JordanSpec or a diagonalizable ndarray:
+    a (d, d) matrix for one time, an (n, d, d) stack for a 1-D array of n
+    times, with one ``ml_jordan_block`` call per block."""
     spec = _coerce_spec(a)
     parts = [ml_jordan_block(p, lam, size, t, controls)
              for lam, size in spec.blocks]
-    m = parts[0] if len(parts) == 1 else block_diag(*parts)
+    m = np.zeros(parts[0].shape[:-2] + (spec.dimension,) * 2, dtype=complex)
+    at = 0
+    for part in parts:   # block diagonal
+        k = part.shape[-1]
+        m[..., at:at + k, at:at + k] = part
+        at += k
     if spec.transform is not None:
         cond = np.linalg.cond(spec.transform)
         if cond > 1e12:
@@ -264,24 +274,19 @@ def decay_check(alpha: float, a, t_grid=None) -> DecayReport:
     if t_grid is None:
         t_start = 2.0 * max(ctx.t0 for ctx in ctxs)
         t_grid = np.geomspace(t_start, 1e4 * t_start, 28)
-    p1 = MLParams(alpha, 1.0)
-    norm2 = []
-    norm_inf = []
-    for t in t_grid:
-        m = ml_matrix(p1, spec, float(t))
-        norm2.append(float(np.linalg.norm(m, 2)))
-        norm_inf.append(float(np.linalg.norm(m, np.inf)))
+    ms = ml_matrix(MLParams(alpha, 1.0), spec, t_grid)
+    norm2 = np.linalg.norm(ms, 2, axis=(1, 2))
     decreasing = bool(np.all(np.diff(norm2) < 0.0))
     tail = t_grid >= t_grid[-1] / 10.0
-    slope = float(np.polyfit(np.log(t_grid[tail]), np.log(np.array(norm2)[tail]), 1)[0])
+    slope = float(np.polyfit(np.log(t_grid[tail]), np.log(norm2[tail]), 1)[0])
     return DecayReport(
         spectral=report,
-        t_grid=tuple(float(t) for t in t_grid),
-        norm2=tuple(norm2),
-        norm_inf=tuple(norm_inf),
+        t_grid=tuple(t_grid.tolist()),
+        norm2=tuple(norm2.tolist()),
+        norm_inf=tuple(np.linalg.norm(ms, np.inf, axis=(1, 2)).tolist()),
         strictly_decreasing=decreasing,
         tail_slope=slope,
-        final_norm2=norm2[-1],
+        final_norm2=float(norm2[-1]),
     )
 
 
@@ -303,7 +308,9 @@ _COEFF_SLACK = 1.0 + 1e-10
 # this share; it always stops, since I_N grows like Gamma(alpha N)
 _MIN_ORDER_GAIN = 1e-3
 # integral_check's preset, for the [0, T] integral and its ml_matrix nodes;
-# DEFAULT_CONTROLS makes the node evaluations 1.7-1.9x slower, same output
+# with the nodes batched per panel, DEFAULT_CONTROLS at the nodes makes the
+# check 1.1-1.6x slower (one block at alpha = 0.5, two at 0.7; T = 200),
+# numeric within 2.2e-16
 _INTEGRAL_QUAD = QuadratureControls(rel_tol=1e-8, abs_tol=1e-12, max_panels=512)
 
 
@@ -365,18 +372,14 @@ def integral_check(alpha: float, a, t_max: float = 200.0) -> IntegralReport:
     inv_alpha = 1.0 / alpha
 
     def f(vs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(vs), dtype=complex)
-        for i, v in enumerate(vs):
-            vr = float(np.real(v))
-            m = ml_matrix(paa, spec, vr ** inv_alpha, _INTEGRAL_QUAD)
-            out[i] = np.linalg.norm(m, 2)
-        return out
+        ms = ml_matrix(paa, spec, np.real(vs) ** inv_alpha, _INTEGRAL_QUAD)
+        return np.linalg.norm(ms, 2, axis=(1, 2))
 
     num, num_err = integrate_path(f, [line_segment(0.0, t_max ** alpha)], _INTEGRAL_QUAD)
-    numeric = num.real / alpha
-    numeric_err = num_err / alpha
+    numeric = float(num.real) / alpha
+    numeric_err = float(num_err) / alpha
 
-    tail = _asymptotic_tail(alpha, spec, ctxs, t_max)
+    tail = float(_asymptotic_tail(alpha, spec, ctxs, t_max))
     total = numeric + tail
     return IntegralReport(
         spectral=report,

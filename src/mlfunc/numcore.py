@@ -38,6 +38,8 @@ __all__ = [
     "radial_ray",
     "integrate_path",
     "require_finite",
+    "require_grid",
+    "require_orders",
 ]
 
 _EPS = math.ulp(1.0)
@@ -96,6 +98,29 @@ def require_finite(name: str, value) -> None:
         finite = cmath.isfinite(value)
     if not finite:
         raise DomainError(f"argument {name} must be finite, got {value!r}")
+
+
+def require_grid(name: str, value) -> np.ndarray:
+    """``value`` as a float array; raise DomainError naming the argument
+    unless it is one finite number or a nonempty 1-D array of them."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim > 1 or not arr.size:
+        raise DomainError(f"argument {name} must be a number or a nonempty "
+                          f"1-D array, got shape {arr.shape}")
+    require_finite(name, arr)
+    return arr
+
+
+def require_orders(name: str, value):
+    """``value`` as an int, or as an int array when it is a 1-D array; raise
+    DomainError naming the argument unless every entry is a nonnegative
+    integer."""
+    if isinstance(value, (int, np.integer)) and value >= 0:
+        return int(value)  # the common case, without the array checks
+    arr = require_grid(name, value)
+    if not np.all((arr >= 0.0) & (arr == np.round(arr))):
+        raise DomainError(f"argument {name} must hold nonnegative integers, got {value!r}")
+    return arr.astype(int) if arr.ndim else int(arr)
 
 
 # --------------------------------------------------------------------------

@@ -16,14 +16,16 @@ router deal with this:
 * extended mode ("compensated-series"): the same series summed in adaptive
   multi-precision sized from a cheap log-magnitude scan of the terms.  This
   is the oracle-grade mode the tests check the other routes against.
-* ``evaluate`` is the one place that picks the route of a scalar value.
+* ``evaluate`` is the one place that picks the route of a value, and it
+  takes one (t, l) entry or 1-D arrays of them, each entry routed as alone.
   With z = lambda t**alpha it sums the series while |z| <= min(4, 200**alpha)
   and for every z at alpha = 1.  The plain pass is kept when its error
   estimate meets the tolerance.  Otherwise alpha < 1 takes the contour
   representation, which never cancels, and only alpha = 1 and arguments
   whose imaginary part is below the contour route's resolution fall back
   to the extended mode.  Beyond the band alpha < 1 takes the contour
-  representation outright.  E_{1,1} = exp is taken in closed form.
+  representation outright; the path entries of an array share one
+  batched path integral.  E_{1,1} = exp is taken in closed form.
   ``ml_eval`` is its underived case at t = 1.
 
 ``ml_series_deriv`` sums the lambda-derivative series
@@ -45,7 +47,14 @@ import mpmath as mp
 import numpy as np
 from scipy.special import digamma, loggamma
 
-from .numcore import DomainError, QuadratureControls, recip_gamma, require_finite
+from .numcore import (
+    DomainError,
+    QuadratureControls,
+    recip_gamma,
+    require_finite,
+    require_grid,
+    require_orders,
+)
 
 __all__ = [
     "MLParams",
@@ -95,6 +104,10 @@ class MLParams:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """A value with its error bar, the route that produced it and the work
+    it took.  An array call of ``evaluate`` gives arrays of values and
+    bars, and tuples of routes and work counts, one per entry."""
+
     value: complex
     err_estimate: float
     # "series" | "contour" | "compensated-series" (extended mode: only at
@@ -377,10 +390,10 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
     return plain if plain is not None else _series_extended(p, lam, t, l)
 
 
-def evaluate(p: MLParams, lam: complex, t: float, l: int,
+def evaluate(p: MLParams, lam: complex, t: float | np.ndarray, l: int | np.ndarray,
              controls: EvalControls | None = None) -> EvalResult:
     """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha), by the
-    route this package picks for every scalar value.
+    route this package picks for every value.
 
     With z = lambda * t**alpha the series band is |z| <= min(4, 200**alpha),
     and every z at alpha = 1.  On the band the plain series pass is kept
@@ -396,11 +409,39 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
     exp(|z|**(1/alpha)); the 200**alpha cap keeps the extended mode under
     about 90 digits.  At alpha = beta = 1 the value is the closed form
     t**l exp(lambda t), and EvaluationError is raised only where it overflows.
+
+    ``t`` and ``l`` may also be 1-D arrays, broadcast together.  Each entry
+    then takes the route its scalar call takes, every entry bound for the
+    path route goes into one ``ml_contour_deriv`` call, and the result
+    holds arrays of values and error estimates and tuples of per-entry
+    routes and work counts (a path entry counts the panels of the batch).
     """
+    if _is_array(t) or _is_array(l):
+        return _evaluate_many(p, lam, t, l, controls or EvalControls())
     require_finite("lam", lam)
     require_finite("t", t)
     if t < 0.0:
         raise DomainError("t must be nonnegative")
+    controls = controls or EvalControls()
+    res = _series_route(p, lam, t, l, controls)
+    if res is not None:
+        return res
+    from .contour import ml_contour_deriv  # deferred: contour builds on this module
+
+    return ml_contour_deriv(p, lam, t, l, controls.quad)
+
+
+def _is_array(x) -> bool:
+    # a plain number skips np.ndim, which costs a few percent of a
+    # plain-series call
+    return not isinstance(x, (int, float)) and np.ndim(x) > 0
+
+
+def _series_route(p: MLParams, lam: complex, t: float, l: int,
+                  controls: EvalControls) -> EvalResult | None:
+    """``evaluate``'s route choice for one validated entry: the result of the
+    closed form or the series when either takes the entry, else None, and
+    the entry goes to the path route."""
     if p.alpha == 1.0 and p.beta == 1.0:
         if l < 0 or l != int(l):
             raise DomainError("derivative order must be a nonnegative integer")
@@ -413,7 +454,6 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
         if not cmath.isfinite(value):
             raise EvaluationError("exp(lambda t) exceeds the double-precision range")
         return EvalResult(value, 4.0 * _EPS * (1.0 + abs(lam * t)) * abs(value), "series", 1)
-    controls = controls or EvalControls()
     t_alpha = t ** p.alpha
     z_mod = abs(lam) * t_alpha
     if p.alpha == 1.0:
@@ -424,17 +464,41 @@ def evaluate(p: MLParams, lam: complex, t: float, l: int,
             raise EvaluationError(
                 "value exceeds the double-precision range for alpha >= 1")
         return ml_series_deriv(p, lam, t, l, controls.tol)
-    if z_mod <= min(4.0, 200.0 ** p.alpha):
-        if 0.0 < abs(complex(lam).imag) * t_alpha <= controls.quad.rel_tol * z_mod:
-            return ml_series_deriv(p, lam, t, l, controls.tol)
-        plain = _accepted_plain(
-            lambda: ml_series_deriv(p, lam, t, l, controls.tol, extended=False),
-            controls.tol)
-        if plain is not None:
-            return plain
-    from .contour import ml_contour_deriv  # deferred: contour builds on this module
+    if z_mod > min(4.0, 200.0 ** p.alpha):
+        return None
+    if 0.0 < abs(complex(lam).imag) * t_alpha <= controls.quad.rel_tol * z_mod:
+        return ml_series_deriv(p, lam, t, l, controls.tol)
+    return _accepted_plain(
+        lambda: ml_series_deriv(p, lam, t, l, controls.tol, extended=False),
+        controls.tol)
 
-    return ml_contour_deriv(p, lam, t, l, controls.quad)
+
+def _evaluate_many(p: MLParams, lam: complex, t: float | np.ndarray,
+                   l: int | np.ndarray, controls: EvalControls) -> EvalResult:
+    """``evaluate`` over the entries of ``t`` and ``l`` broadcast together."""
+    require_finite("lam", lam)
+    ts = require_grid("t", t)
+    if (ts < 0.0).any():
+        raise DomainError(f"argument t must be nonnegative, got {ts.min()!r}")
+    ls = require_orders("l", l)
+    try:
+        ts, ls = np.broadcast_arrays(ts, ls)
+    except ValueError:
+        raise DomainError(f"arguments t and l must broadcast together, got "
+                          f"lengths {ts.size} and {np.size(ls)}") from None
+    results = [_series_route(p, lam, tj, lj, controls)
+               for tj, lj in zip(ts.tolist(), ls.tolist())]
+    path = [j for j, res in enumerate(results) if res is None]
+    if path:
+        from .contour import ml_contour_deriv
+
+        batch = ml_contour_deriv(p, lam, ts[path], ls[path], controls.quad)
+        for j, value, err in zip(path, batch.value.tolist(), batch.err_estimate.tolist()):
+            results[j] = EvalResult(value, err, "contour", batch.terms_or_panels)
+    return EvalResult(np.array([res.value for res in results], dtype=complex),
+                      np.array([res.err_estimate for res in results], dtype=float),
+                      tuple(res.method for res in results),
+                      tuple(res.terms_or_panels for res in results))
 
 
 def ml_eval(p: MLParams, z: complex, controls: EvalControls | None = None) -> EvalResult:

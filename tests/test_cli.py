@@ -8,6 +8,7 @@ import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlfunc.cli import (
@@ -22,6 +23,7 @@ from mlfunc.cli import (
     parse_angle,
     parse_complex,
 )
+from mlfunc.series import MLParams, evaluate
 
 
 def run(argv):
@@ -217,6 +219,26 @@ def test_matrix_integral_check_json_and_csv():
     lines = out.splitlines()
     assert lines[0] == "t_max,numeric,numeric_err,tail_bound,total,tail_fraction"
     assert len(lines) == 2
+
+
+def test_matrix_t_grid_agrees_with_per_t_calls():
+    # the grid runs as one array call; each entry (0, j) must agree with the
+    # scalar j-th derivative over j! within both bars
+    rc, out, _ = run(["matrix", "--alpha", "0.6", "--block=-1:3",
+                      "--t-grid", "0.1,200,6"])
+    assert rc == EXIT_OK
+    records = json.loads(out)["records"]
+    ts = [rec["t"] for rec in records]
+    assert len(ts) == 6
+    p = MLParams(0.6, 1.0)
+    batch = evaluate(p, -1.0, np.repeat(ts, 3), np.tile(np.arange(3), 6))
+    errs = batch.err_estimate.reshape(6, 3)
+    for rec, row_errs in zip(records, errs):
+        for j in range(3):
+            cell = rec["matrix"][0][j]
+            one = evaluate(p, -1.0, rec["t"], j)
+            bar = (row_errs[j] + one.err_estimate) / math.factorial(j)
+            assert abs(complex(cell["re"], cell["im"]) - one.value / math.factorial(j)) <= bar
 
 
 # ------------------------------------------------------------------ config

@@ -266,6 +266,54 @@ def test_batched_cauchy_integral_matches_one_argument_calls(alpha, polar):
         assert abs(value - one) <= err + one_err
 
 
+@given(st.sampled_from([0.35, 0.5, 0.6, 0.8]),
+       st.lists(st.tuples(st.floats(min_value=0.05, max_value=40.0),
+                          st.floats(min_value=-math.pi, max_value=math.pi),
+                          st.integers(min_value=0, max_value=4)),
+                min_size=1, max_size=30))
+@settings(max_examples=12, deadline=None)
+def test_cauchy_integral_order_per_row_matches_one_row_calls(alpha, rows):
+    # each row is a (z, l) pair; every row of the batched call must agree
+    # with its own one-argument call within both error estimates
+    spec = _spec(alpha)
+    p = MLParams(alpha, 1.0)
+    rows = [(r * cmath.exp(1j * phi), l) for r, phi, l in rows]
+    rows = [(z, l) for z, l in rows if contour_distance(spec, z) >= 1e-2 * max(1.0, abs(z))]
+    if not rows:
+        return
+    zs = np.array([z for z, _ in rows])
+    ls = np.array([l for _, l in rows])
+    values, errs, _ = cauchy_integral(spec, p, zs, _QUAD, ls)
+    assert values.shape == errs.shape == (len(rows),)
+    for (z, l), value, err in zip(rows, values, errs):
+        one, one_err, _ = cauchy_integral(spec, p, z, _QUAD, l)
+        assert abs(value - one) <= err + one_err
+
+
+def test_cauchy_integral_rejects_bad_orders():
+    spec, p = _spec(0.6), MLParams(0.6, 1.0)
+    with pytest.raises(DomainError, match="argument order must hold nonnegative"):
+        cauchy_integral(spec, p, np.array([-5.0, 2.0j]), _QUAD, [0, -1])
+    with pytest.raises(DomainError, match="as long as z"):
+        cauchy_integral(spec, p, np.array([-5.0, 2.0j]), _QUAD, [0, 1, 2])
+
+
+def test_array_l_matches_one_order_calls():
+    # one time at several orders and several times at one order each: an
+    # entry agrees with its one-order call on the same path within both bars
+    p = MLParams(0.6, 1.5)
+    lam = 2.0 * cmath.exp(0.4j)
+    ts = np.array([0.5, 3.0, 3.0, 12.0])
+    ls = np.array([0, 1, 3, 2])
+    res = ml_contour_deriv(p, lam, ts, ls)
+    spec = next(admissible_specs(0.6, lam * ts ** 0.6))
+    for t, l, value, err in zip(ts, ls, res.value, res.err_estimate):
+        one = ml_contour_deriv(p, lam, float(t), int(l), spec=spec)
+        assert abs(value - one.value) <= err + one.err_estimate
+    orders = ml_contour_deriv(p, lam, 3.0, [0, 1, 2])
+    assert orders.value.shape == (3,)
+
+
 def test_batched_cauchy_integral_near_path_column_keeps_others_accurate():
     # one argument hugs the upper ray, which forces deep refinement there;
     # the other columns must still meet their own accuracy, and so must it

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mlfunc import contour as contour_module
+from mlfunc import matrixfn as matrixfn_module
 from mlfunc.matrixfn import (
     JordanSpec,
     decay_check,
@@ -17,7 +21,7 @@ from mlfunc.matrixfn import (
 )
 from mlfunc.bounds import SectorContextError, lemma4_constants, sector_context
 from mlfunc.numcore import DomainError, recip_gamma
-from mlfunc.series import MLParams, ml_series_deriv
+from mlfunc.series import MLParams, evaluate, ml_series_deriv
 
 
 # --------------------------------------------------------------- JordanSpec
@@ -99,6 +103,35 @@ def test_block_contour_region_matches_derivative_route():
     assert np.isfinite(block).all()
 
 
+@given(st.sampled_from([0.4, 0.5, 0.7, 0.9]),
+       st.sampled_from([1.0, 0.5, 1.5]),
+       st.floats(min_value=0.1, max_value=4.0),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.integers(min_value=1, max_value=4),
+       st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=6))
+@settings(max_examples=15, deadline=None)
+def test_array_jordan_block_matches_scalar_calls(alpha, beta, r, phi, size, ts):
+    # entry (i, r, r + j) of the stack is the j-th derivative at t_i over
+    # j!, within both bars of the scalar call; the batch's bars are those of
+    # the one array call the block makes
+    lam = r * cmath.exp(1j * phi)
+    ts = np.array(ts)
+    # keep the explicit G+ term inside the double range
+    assume((r * ts.max() ** alpha) ** (1.0 / alpha) < 300.0)
+    p = MLParams(alpha, beta)
+    stack = ml_jordan_block(p, lam, size, ts)
+    assert stack.shape == (len(ts), size, size)
+    batch = evaluate(p, lam, np.repeat(ts, size), np.tile(np.arange(size), len(ts)))
+    errs = batch.err_estimate.reshape(len(ts), size)
+    for block, t, row_errs in zip(stack, ts, errs):
+        assert np.all(np.tril(block, -1) == 0)
+        for j in range(size):
+            one = evaluate(p, lam, float(t), j)
+            bar = (row_errs[j] + one.err_estimate) / math.factorial(j)
+            assert abs(block[0, j] - one.value / math.factorial(j)) <= bar
+            assert np.all(np.diagonal(block, j) == block[0, j])
+
+
 # ---------------------------------------------------------------- ml_matrix
 
 def test_ml_matrix_alpha_one_matches_expm():
@@ -130,6 +163,66 @@ def test_ml_matrix_warns_on_ill_conditioned_transform():
                       transform=t, transform_inv=np.linalg.inv(t))
     with pytest.warns(UserWarning, match="condition number"):
         ml_matrix(MLParams(0.5, 1.0), spec, 1.0)
+
+
+def test_array_ml_matrix_stacks_the_transformed_blocks():
+    p = MLParams(0.7, 1.0)
+    v = np.array([[1.0, 0.9, 0.0], [0.0, 0.5, 0.2], [0.3, 0.0, 1.0]])
+    spec = JordanSpec(blocks=((-2.0, 2), (cmath.exp(0.8j * math.pi), 1)),
+                      transform=v, transform_inv=np.linalg.inv(v))
+    ts = np.geomspace(0.1, 100.0, 5)
+    stack = ml_matrix(p, spec, ts)
+    assert stack.shape == (5, 3, 3)
+    blocks = [ml_jordan_block(p, lam, size, ts) for lam, size in spec.blocks]
+    for i, m in enumerate(stack):
+        want = v @ scipy.linalg.block_diag(*(b[i] for b in blocks)) @ np.linalg.inv(v)
+        assert np.allclose(m, want, rtol=1e-14, atol=1e-15)
+    assert ml_matrix(p, spec, 2.0).shape == (3, 3)
+
+
+@pytest.mark.parametrize("t, message", [
+    ([], "argument t must be a number or a nonempty 1-D array"),
+    ([[1.0, 2.0]], "argument t must be a number or a nonempty 1-D array"),
+    ([1.0, math.nan], "argument t must be finite"),
+    ([1.0, -1.0], "argument t must be nonnegative"),
+], ids=["empty", "2d", "nan", "negative"])
+def test_ml_matrix_rejects_bad_times_by_name(t, message):
+    with pytest.raises(DomainError, match=message):
+        ml_matrix(MLParams(0.6, 1.0), JordanSpec(blocks=((-1.0, 2),)), t)
+
+
+def test_matrix_checks_make_one_path_integral_per_grid_or_panel(monkeypatch):
+    # decay_check measures its whole grid with one batched path integral,
+    # and integral_check makes at most one per quadrature panel
+    counts = {"cauchy": 0, "ml_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(contour_module, "cauchy_integral",
+                        counted("cauchy", contour_module.cauchy_integral))
+    monkeypatch.setattr(matrixfn_module, "ml_matrix",
+                        counted("ml_matrix", matrixfn_module.ml_matrix))
+    spec = JordanSpec(blocks=((-1.0, 2),))
+    decay_check(0.5, spec, t_grid=np.geomspace(5.0, 2e4, 24))
+    assert counts == {"cauchy": 1, "ml_matrix": 1}
+    counts.update(cauchy=0, ml_matrix=0)
+    integral_check(0.5, spec, t_max=200.0)
+    assert 0 < counts["cauchy"] <= counts["ml_matrix"] < 20
+
+
+def test_matrix_reports_hold_python_floats():
+    spec = JordanSpec(blocks=((-1.0, 2),))
+    decay = decay_check(0.5, spec, t_grid=np.geomspace(5.0, 500.0, 6))
+    integ = integral_check(0.5, spec, t_max=20.0)
+    values = (decay.t_grid + decay.norm2 + decay.norm_inf
+              + (decay.tail_slope, decay.final_norm2)
+              + (integ.t_max, integ.numeric, integ.numeric_err, integ.tail_bound,
+                 integ.total, integ.tail_fraction))
+    assert {type(x) for x in values} == {float}
 
 
 # ------------------------------------------------------- spectral condition

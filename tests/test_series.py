@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlfunc import series as series_module
+from mlfunc.contour import admissible_specs
 from mlfunc.numcore import DomainError, recip_gamma
 from mlfunc.series import (
     EvaluationError,
@@ -411,3 +412,77 @@ def test_series_rejects_non_finite_input(call, message):
     # after all 10 000 terms of the plain pass (tol = nan)
     with pytest.raises(DomainError, match=message):
         call(MLParams(0.6, 1.0))
+
+
+# ------------------------------------------------------------ array evaluate
+
+@given(st.sampled_from([0.35, 0.5, 0.6, 0.8]),
+       st.sampled_from([1.0, 0.6, 1.5, complex(0.7, 0.4)]),
+       st.floats(min_value=0.05, max_value=8.0),
+       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=40.0),
+                          st.integers(min_value=0, max_value=3)),
+                min_size=1, max_size=12))
+@settings(max_examples=15, deadline=None)
+def test_array_evaluate_matches_scalar_calls(alpha, beta, r, phi, rows):
+    # every (t, l) row takes its scalar call's route and agrees with that
+    # call within both error estimates
+    lam = r * cmath.exp(1j * phi)
+    ts = np.array([t for t, _ in rows])
+    ls = np.array([l for _, l in rows])
+    # keep the explicit G+ term inside the double range
+    assume((r * ts.max() ** alpha) ** (1.0 / alpha) < 300.0)
+    p = MLParams(alpha, beta)
+    res = evaluate(p, lam, ts, ls)
+    assert res.value.shape == res.err_estimate.shape == ts.shape
+    assert len(res.method) == len(res.terms_or_panels) == len(ts)
+    for t, l, value, err, method in zip(ts, ls, res.value, res.err_estimate, res.method):
+        one = evaluate(p, lam, float(t), int(l))
+        assert method == one.method
+        assert abs(value - one.value) <= err + one.err_estimate
+
+
+def test_array_evaluate_broadcasts_one_time_against_orders():
+    p = MLParams(0.6, 1.0)
+    res = evaluate(p, -2.0, 30.0, [0, 1, 2])
+    assert res.method == ("contour",) * 3
+    res = evaluate(p, -0.5, [0.0, 1.0], 1)
+    assert res.method == ("series", "series")
+    assert res.value[0] == 0.0
+
+
+def test_array_evaluate_splits_a_batch_no_one_path_clears(monkeypatch):
+    # on the positive axis |z| = 0.5, 1 and 2 each block the circle of that
+    # radius, so no single path clears the three; with every plain series
+    # refused all nine entries go to the path route in one call
+    alpha = 0.6
+    p = MLParams(alpha, 1.0)
+    ts = np.repeat(np.array([0.5, 1.0, 2.0]) ** (1.0 / alpha), 3)
+    ls = np.tile([0, 1, 2], 3)
+    assert next(admissible_specs(alpha, ts ** alpha), None) is None
+    monkeypatch.setattr(series_module, "_accepted_plain", lambda plain_pass, tol: None)
+    res = evaluate(p, 1.0, ts, ls)
+    assert res.method == ("contour",) * len(ts)
+    for t, l, value, err in zip(ts, ls, res.value, res.err_estimate):
+        one = evaluate(p, 1.0, float(t), int(l))
+        assert one.method == "contour"
+        assert abs(value - one.value) <= err + one.err_estimate
+
+
+@pytest.mark.parametrize("t, l, message", [
+    ([], 0, "argument t must be a number or a nonempty 1-D array"),
+    ([[1.0, 2.0]], 0, "argument t must be a number or a nonempty 1-D array"),
+    ([1.0, math.nan], 0, "argument t must be finite"),
+    ([1.0, math.inf], 0, "argument t must be finite"),
+    ([1.0, -2.0], 0, "argument t must be nonnegative"),
+    ([1.0, 2.0], [0, -1], "argument l must hold nonnegative integers"),
+    ([1.0, 2.0], [0, 1.5], "argument l must hold nonnegative integers"),
+    (1.0, [0, math.nan], "argument l must be finite"),
+    (1.0, [], "argument l must be a number or a nonempty 1-D array"),
+    (1.0, [[0, 1]], "argument l must be a number or a nonempty 1-D array"),
+    ([1.0, 2.0], [0, 1, 2], "arguments t and l must broadcast together"),
+], ids=["t-empty", "t-2d", "t-nan", "t-inf", "t-negative", "l-negative",
+        "l-fraction", "l-nan", "l-empty", "l-2d", "mismatch"])
+def test_array_evaluate_rejects_bad_arguments_by_name(t, l, message):
+    with pytest.raises(DomainError, match=message):
+        evaluate(MLParams(0.6, 1.0), -1.0, t, l)
