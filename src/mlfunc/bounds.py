@@ -70,6 +70,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import binom, rgamma
 
 from .contour import (
     ContourSpec,
@@ -270,17 +271,31 @@ def kappa_moment(alpha: float, theta: float, n: int) -> tuple[float, float]:
     return _path_mass(alpha, theta, 1.0 / alpha - 1.0 + n)
 
 
-def expansion_coefficient(alpha: float, lam: complex, k: int, l: int) -> complex:
+def expansion_coefficient(alpha: float, lam, k, l, beta: complex | None = None):
     """Coefficient of t^(-alpha k) in the order-k term of
-    (1/l!) d^l/dlambda^l E_{a,a}(lambda t^a) expanded at infinity:
+    (1/l!) d^l/dlambda^l E_{a,b}(lambda t^a) expanded at infinity:
 
-        -(-1)^l C(k+l-1, l) lambda^(-k-l) / Gamma(a - a k)
+        -(-1)^l C(k+l-1, l) lambda^(-k-l) / Gamma(b - a k)
 
-    (C(k+l-1, l) = (k)_l / l!).  It is 0 at k = 1.
+    (C(k+l-1, l) = (k)_l / l!), with b = ``beta``, by default a.  At
+    b = a it is 0 at k = 1.  ``lam``, ``k`` and ``l`` may be arrays,
+    broadcast together; the result is real when lambda and beta are.
     """
-    sign = -1.0 if l % 2 == 0 else 1.0
-    return (sign * math.comb(k + l - 1, l) * complex(lam) ** (-k - l)
-            * recip_gamma(alpha - alpha * k))
+    beta = complex(alpha if beta is None else beta)
+    lam = np.asarray(lam, dtype=complex)
+    k, l = np.asarray(k), np.asarray(l)
+    n = k + l
+    positive = l % 2 == 1
+    if lam.imag.any():
+        power = lam ** -n
+    else:
+        # a real power keeps a real coefficient real; |lambda|^-n with the
+        # sign taken apart is also far faster than a negative base's power
+        power = np.abs(lam.real) ** -n
+        positive = positive ^ ((lam.real < 0.0) & (n % 2 == 1))
+    x = beta.real - alpha * k if beta.imag == 0.0 else beta - alpha * k
+    coef = np.where(positive, 1.0, -1.0) * binom(n - 1, l) * power * rgamma(x)
+    return coef[()]
 
 
 def expansion_remainder(ctx: SectorContext, n: int, l: int, i_n: float) -> float:

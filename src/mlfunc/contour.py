@@ -1,4 +1,5 @@
-"""Contour-integral representation of E_{alpha,beta} for 0 < alpha < 1.
+"""Contour-integral representation of E_{alpha,beta} for 0 < alpha < 1, and
+the expansion at infinity it yields for 0 < alpha <= 1.
 
 The integration path gamma(eps, theta) runs in from infinity along
 arg zeta = -theta, counterclockwise around the circle |zeta| = eps, and back
@@ -30,6 +31,26 @@ differentiated symbolically.  ``recip_gamma_via_contour`` evaluates the same
 path integral without the Cauchy kernel, which collapses to a Hankel loop
 and must reproduce 1/Gamma(beta - alpha); it is the built-in self-test that
 the path, branch handling and quadrature agree.
+
+Expanding 1/(zeta - z) = -sum_{k<N} zeta^k / z^(k+1) + zeta^N / (z^N (zeta - z))
+under the integral gives the expansion at infinity (Podlubny, Thm 1.4)
+
+    E(z) = [explicit G+ term] - sum_{k=1..N} z^(-k) / Gamma(beta - alpha k) + R_N(z),
+    |R_N(z)| <= I_N / (2 alpha pi dist(z, gamma) |z|^N),
+
+where I_N is the mass of |kernel(zeta)| |zeta|^N over gamma(1, theta).  With
+c = -cos(theta/alpha), s = (1 - Re beta)/alpha + N and A = alpha (s + 1), the
+rays extended to [0, inf) and the unit arc give it in closed form,
+
+    I_N <= e^(|Im beta| theta/alpha) (2 alpha c^(-A) Gamma(A) + 2 theta e),
+
+finite for s > -1.  For l >= 1, Cauchy's estimate on the disk of radius
+rho = dist(z, gamma)/2 about z, which stays off the path and away from 0,
+bounds the l-th derivative of the remainder by
+l! I_N / (2 alpha pi rho^(l+1) (|z| - rho)^N).  No quadrature enters, and
+none of this needs alpha < 1: at alpha = 1 the same paths, with theta in
+(pi/2, pi), carry the expansion of E_{1,beta}.  ``_expansion_route`` is
+``evaluate``'s route on it.
 """
 
 import cmath
@@ -38,6 +59,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .numcore import (
     DEFAULT_CONTROLS,
@@ -48,7 +70,6 @@ from .numcore import (
     circular_arc,
     cpow,
     integrate_path,
-    principal_arg,
     radial_ray,
     require_finite,
     require_grid,
@@ -100,21 +121,29 @@ class RegionClass(enum.Enum):
     NEAR_CONTOUR = "near-contour"
 
 
+def _path_geometry(theta, eps: float, z) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from z to the path gamma(eps, theta), and whether z lies in
+    its G+ (|z| > eps, |arg z| < theta), elementwise over z and theta
+    broadcast together.  Only the angles enter, not alpha, so the same
+    geometry serves alpha = 1 with theta in (pi/2, pi)."""
+    z = np.asarray(z, dtype=complex)
+    mod = np.abs(z)
+    arg = np.abs(np.angle(z))  # the ray on z's side of the axis is the nearer one
+    along = mod * np.cos(arg - theta)
+    across = mod * np.abs(np.sin(arg - theta))
+    dist = np.where(along >= eps, across, np.hypot(along - eps, across))
+    dist = np.where(arg <= theta, np.minimum(dist, np.abs(mod - eps)), dist)
+    return dist, (mod > eps) & (arg < theta)
+
+
+def _near_path(dist: np.ndarray, z) -> np.ndarray:
+    """The guard band of ``classify_region``: closer than 1e-6 * max(1, |z|)."""
+    return dist < 1e-6 * np.maximum(1.0, np.abs(z))
+
+
 def contour_distance(spec: ContourSpec, z: complex) -> float:
     """Euclidean distance from z to the path gamma(eps, theta)."""
-    z = complex(z)
-    if z == 0:
-        return spec.eps
-    dists = []
-    for sign in (1.0, -1.0):
-        w = z * cmath.exp(-1j * sign * spec.theta)  # ray rotated onto [eps, inf)
-        if w.real >= spec.eps:
-            dists.append(abs(w.imag))
-        else:
-            dists.append(abs(w - spec.eps))
-    if abs(principal_arg(z)) <= spec.theta:
-        dists.append(abs(abs(z) - spec.eps))
-    return min(dists)
+    return float(_path_geometry(spec.theta, spec.eps, complex(z))[0])
 
 
 def classify_region(spec: ContourSpec, z: complex) -> RegionClass:
@@ -123,11 +152,10 @@ def classify_region(spec: ContourSpec, z: complex) -> RegionClass:
     either region.
     """
     z = complex(z)
-    if contour_distance(spec, z) < 1e-6 * max(1.0, abs(z)):
+    dist, g_plus = _path_geometry(spec.theta, spec.eps, z)
+    if _near_path(dist, z):
         return RegionClass.NEAR_CONTOUR
-    if z != 0 and abs(z) > spec.eps and abs(principal_arg(z)) < spec.theta:
-        return RegionClass.G_PLUS
-    return RegionClass.G_MINUS
+    return RegionClass.G_PLUS if g_plus else RegionClass.G_MINUS
 
 
 def contour_path(spec: ContourSpec) -> list[PathSegment]:
@@ -194,8 +222,7 @@ def cauchy_integral(spec: ContourSpec, p: MLParams, z,
     require_finite("z", zs)
     if zs.ndim > 1:
         raise DomainError("z must be a number or a 1-D array of numbers")
-    if any(classify_region(spec, zj) is RegionClass.NEAR_CONTOUR
-           for zj in zs.reshape(-1).tolist()):
+    if _near_path(_path_geometry(spec.theta, spec.eps, zs)[0], zs).any():
         raise DomainError("argument lies on or near the integration path")
     if isinstance(order, np.ndarray):
         if zs.ndim and zs.shape != order.shape:
@@ -254,6 +281,22 @@ def _explicit_term(alpha: float, beta: complex, z: complex, order: int = 0) -> c
             "explicit exponential term overflows double precision") from exc
 
 
+def _explicit_part(alpha: float, beta: complex, z: complex,
+                   order: int) -> tuple[complex, float]:
+    """The explicit G+ term's ``order``-th z-derivative with its rounding
+    bar, for both routes that add it."""
+    value = _explicit_term(alpha, beta, z, order)
+    # exp(w), w = z**(1/alpha), carries the absolute rounding of w: about
+    # eps |w| from z itself and eps |w| |Log z| / alpha from the logarithm
+    # and the exponent 1/alpha
+    w_mod = abs(z) ** (1.0 / alpha)
+    log_mod = abs(cmath.log(z))
+    return value, 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / alpha)) * abs(value)
+
+
+_THETA_FRACS = (0.75, 0.625, 0.875, 0.5625, 0.9375)  # of alpha*pi, by preference
+
+
 def admissible_specs(alpha: float, z):
     """Yield the paths that keep at least 1e-3 * max(1, |z_j|) from every
     entry z_j of ``z`` (one number or a 1-D array), in order of preference:
@@ -263,13 +306,13 @@ def admissible_specs(alpha: float, z):
     The first spec is the one the path route takes when no spec is given;
     the later ones give other partitions and nodes for a cross-check.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex)).tolist()
-    for frac in (0.75, 0.625, 0.875, 0.5625, 0.9375):
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    margin = 1e-3 * np.maximum(1.0, np.abs(zs))
+    for frac in _THETA_FRACS:
         theta = frac * alpha * math.pi
         for eps in (1.0, 0.5, 2.0):
             spec = ContourSpec(alpha, theta, eps)
-            if all(contour_distance(spec, zj) >= 1e-3 * max(1.0, abs(zj))
-                   for zj in zs):
+            if (_path_geometry(theta, eps, zs)[0] >= margin).all():
                 yield spec
 
 
@@ -339,19 +382,13 @@ def _path_route(p: MLParams, lam: complex, t: float | np.ndarray,
     scale = t_alpha ** l
     value *= scale
     err *= scale
-    orders = l.tolist() if isinstance(l, np.ndarray) else [l] * z.size
-    for j, (zj, lj) in enumerate(zip(z.tolist(), orders)):
-        if classify_region(spec, zj) is RegionClass.G_PLUS:
-            expl = _explicit_term(p.alpha, p.beta, zj, order=lj) * scale[j]
-            value[j] += expl
-            # exp(w), w = z**(1/alpha), carries the absolute rounding of w: about
-            # eps |w| from z itself and eps |w| |Log z| / alpha from the
-            # logarithm and the exponent 1/alpha
-            w_mod = abs(zj) ** (1.0 / p.alpha)
-            log_mod = abs(cmath.log(zj))
-            err[j] += 4.0 * _EPS * (1.0 + w_mod * (1.0 + log_mod / p.alpha)) * abs(expl)
+    orders = np.broadcast_to(l, z.shape)
+    for j in np.flatnonzero(_path_geometry(spec.theta, spec.eps, z)[1]).tolist():
+        expl, bar = _explicit_part(p.alpha, p.beta, complex(z[j]), int(orders[j]))
+        value[j] += expl * scale[j]
+        err[j] += bar * scale[j]
     if not np.ndim(t):
-        value, err = value[0], err[0]
+        return EvalResult(complex(value[0]), float(err[0]), "contour", panels)
     return EvalResult(value, err, "contour", panels)
 
 
@@ -375,6 +412,158 @@ def _grouped_path_route(p: MLParams, lam: complex, t: np.ndarray,
         err[rows] = part.err_estimate
         panels += part.terms_or_panels
     return EvalResult(value, err, "contour", panels)
+
+
+# --------------------------------------------------------------------------
+# the large-|z| expansion
+
+# theta/alpha on the rays of ``admissible_specs``, and c = -cos(theta/alpha),
+# the rate of the decay exp(-c r^(1/alpha)) of the kernel along them
+_RAY_TURNS = np.array(_THETA_FRACS) * math.pi
+_LOG_C = np.log(-np.cos(_RAY_TURNS))[:, None]
+_C_MAX = -math.cos(max(_THETA_FRACS) * math.pi)
+# the orders stop where alpha N + |beta| nears Gamma's overflow at 171.6,
+# and 40/alpha past the first: were the smallest bound further out, the
+# bound there would already be below e^-40 times its prefactor
+_GAMMA_ARG_MAX = 168.0
+_ORDER_SPAN = 40.0
+
+
+def _expansion_masses(alpha: float, beta: complex):
+    """(orders N, log I_N) on the paths gamma(1, theta) of the ray angles
+    of ``admissible_specs``, one row per angle.
+
+    With s = (1 - Re beta)/alpha + N, A = alpha (s + 1) and
+    c = -cos(theta/alpha), the ray mass over [0, inf) and the unit arc give
+
+        I_N <= e^(|Im beta| theta/alpha) (2 alpha c^(-A) Gamma(A) + 2 theta e).
+
+    An order with s <= -1 has no finite ray mass and is left out."""
+    n_lo = max(1, math.floor((beta.real - 1.0) / alpha - 1.0) + 1)
+    n_hi = min(math.floor((_GAMMA_ARG_MAX - abs(beta)) / alpha),
+               n_lo + math.floor(_ORDER_SPAN / alpha))
+    orders = np.arange(n_lo, n_hi + 1)
+    big_a = 1.0 - beta.real + alpha * (orders + 1.0)
+    log_ray = math.log(2.0 * alpha) + gammaln(big_a) - big_a * _LOG_C
+    log_arc = np.log(2.0 * math.e * alpha * _RAY_TURNS)[:, None]
+    return orders, np.logaddexp(log_ray, log_arc) + abs(beta.imag) * _RAY_TURNS[:, None]
+
+
+def _expansion_route(p: MLParams, lam: complex, t: np.ndarray, l: np.ndarray,
+                     tol: float) -> list[EvalResult | None]:
+    """The l_j-th lambda-derivative of E_{alpha,beta}(lambda t_j**alpha) for
+    each entry j from the expansion at infinity, or None for an entry whose
+    error bar misses ``tol`` relative to its value.  All entries share one
+    vectorized pass.
+
+    For z = lambda t**alpha off a path gamma(1, theta),
+
+        E(z) = [explicit G+ term] - sum_{k=1..N} z^(-k) / Gamma(beta - alpha k) + R_N(z),
+        |R_N^(l)(z)| <= l! I_N / (2 alpha pi rho^(l+1) (|z| - rho)^N),
+
+    with rho = dist(z, gamma)/2 (Cauchy's estimate on the disk of radius
+    rho, which stays off the path), and at l = 0 with rho = dist(z, gamma)
+    and |z|^N in the denominator.  I_N is ``_expansion_masses``.
+
+    A screen first passes on at once every entry that falls e^5 short of
+    tol even on a rough estimate (below).  Each other entry takes the ray
+    angle of ``admissible_specs`` whose bound is smallest over N; log I_N
+    is convex in N, so on each path that order is where I_(N+1)/I_N first
+    reaches |z| - rho (|z| at l = 0).  It sums to the first order whose bound is below
+    1/64 ulp of the largest of its first four terms, past which the
+    rounding bar dominates, or else to the order of the smallest bound.
+    The rounding bar charges each term 100 eps, N eps for the sum, the
+    rounding of the power z^(-k-l), and the shift eps (alpha k + |x|) of
+    x = beta - alpha k through the slope of 1/Gamma.  That slope is
+    psi(x)/Gamma(x) with |psi(x)| <= log(2 + |x|) + 3 for Re x > 1/2, and
+    reflection bounds it by Gamma(1 - Re x) cosh(pi Im x) (log(2 + |x|) + 4)
+    elsewhere, pole or not.
+    """
+    from .bounds import expansion_coefficient  # deferred: bounds builds on this module
+
+    alpha, beta = p.alpha, p.beta
+    results: list[EvalResult | None] = [None] * t.size
+    # an overflow, or an inf or NaN, only ever makes an entry's bar miss
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = lam * t ** alpha
+        z_mod = np.abs(z)
+        # relative to the value the smallest bound is about e^(-c |z|^(1/alpha)),
+        # smaller by the explicit term's growth in G+ and, for Re beta > 1, by
+        # |z|^(-(Re beta - 1)/alpha)
+        arg = np.abs(np.angle(z))
+        growth = np.where(arg < alpha * math.pi, np.maximum(np.cos(arg / alpha), 0.0), 0.0)
+        reach = (z_mod ** (1.0 / alpha) * (_C_MAX + growth)
+                 + max(0.0, (beta.real - 1.0) / alpha) * np.log(np.maximum(z_mod, 1.0)))
+        keep = np.flatnonzero(reach >= -math.log(tol) - 5.0)
+        if not keep.size:
+            return results
+        orders, log_i = _expansion_masses(alpha, beta)
+        if not orders.size:
+            return results
+        t, l, z, z_mod = t[keep], l[keep], z[keep], z_mod[keep]
+        # the smallest bound on each path, then the best path
+        dist, g_plus = _path_geometry(_RAY_TURNS * alpha, 1.0, z[:, None])
+        first = (l == 0)[:, None]
+        rho = np.where(first, dist, 0.5 * dist)
+        base = np.where(first, z_mod[:, None], z_mod[:, None] - rho)
+        usable = (base > 1.0) & ~_near_path(dist, z[:, None])
+        log_base = np.log(np.where(usable, base, 2.0))
+        log_lfac = gammaln(l + 1.0)
+        log_front = (log_lfac[:, None] - math.log(2.0 * alpha * math.pi)
+                     - (l + 1.0)[:, None] * np.log(np.where(usable, rho, 1.0)))
+        at = (np.diff(log_i, axis=1) < log_base[:, :, None]).sum(axis=2)
+        log_min = np.where(usable, log_front + np.take_along_axis(log_i, at.T, axis=1).T
+                           - orders[at] * log_base, np.inf)
+        rows = np.arange(keep.size)
+        best = np.argmin(log_min, axis=1)
+        at, log_min, g_plus = at[rows, best], log_min[rows, best], g_plus[rows, best]
+        log_front, log_base = log_front[rows, best], log_base[rows, best]
+        # an entry's size is the largest of its first four terms; outside
+        # G+ an entry whose smallest bound is far above tol times it goes on
+        lfac = np.exp(log_lfac)
+        lead = lfac * np.abs(expansion_coefficient(
+            alpha, z[:, None], np.arange(1, 5), l[:, None], beta)).max(axis=1)
+        live = np.flatnonzero(np.isfinite(log_min) & (
+            g_plus | (log_min <= np.log(64.0 * tol * lead))))
+        if not live.size:
+            return results
+        keep, t, l, z, z_mod = keep[live], t[live], l[live], z[live], z_mod[live]
+        best, at, g_plus, lfac, lead = best[live], at[live], g_plus[live], lfac[live], lead[live]
+        log_bounds = log_front[live, None] + log_i[best] - orders * log_base[live, None]
+        below = log_bounds <= np.log(lead * (_EPS / 64.0))[:, None]
+        stop = np.where(below.any(axis=1), below.argmax(axis=1), at)
+        remainder = np.exp(log_bounds[np.arange(live.size), stop])
+        # the terms and their rounding, one row per entry
+        n_terms = orders[stop][:, None]
+        k = np.arange(1, n_terms.max() + 1)
+        terms = expansion_coefficient(alpha, z[:, None], k, l[:, None], beta) * lfac[:, None]
+        inside = k <= n_terms
+        sums = np.where(inside, terms, 0.0).sum(axis=1)
+        mags = np.abs(terms)
+        x = beta.real - alpha * k if beta.imag == 0.0 else beta - alpha * k
+        x_mod = np.abs(x)
+        log_z = np.log(z_mod)[:, None]
+        kl = k + l[:, None]
+        envelope = np.where(x.real > 0.5, mags, np.exp(
+            gammaln(kl) - gammaln(k) - kl * log_z + math.pi * abs(beta.imag)
+            + gammaln(np.maximum(1.0 - x.real, 0.5))))
+        per_term = (mags * (100.0 + n_terms + kl * (1.0 + log_z + math.pi))
+                    + envelope * (np.log(2.0 + x_mod) + 4.0) * (alpha * k + x_mod))
+        bars = remainder + _EPS * np.where(inside, per_term, 0.0).sum(axis=1)
+        scales = t ** (alpha * l)
+    for j in range(keep.size):
+        value = complex(sums[j])
+        bar = float(bars[j])
+        if g_plus[j]:
+            expl, expl_bar = _explicit_part(alpha, beta, complex(z[j]), int(l[j]))
+            value += expl
+            bar += expl_bar
+        scale = float(scales[j])
+        value *= scale
+        bar *= scale
+        if cmath.isfinite(value) and bar <= tol * abs(value):
+            results[keep[j]] = EvalResult(value, bar, "asymptotic", int(n_terms[j, 0]))
+    return results
 
 
 def recip_gamma_via_contour(alpha: float, b: complex,

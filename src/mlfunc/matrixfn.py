@@ -10,9 +10,10 @@ Toeplitz matrix
 
 so everything reduces to the lambda-derivatives of orders 0..size-1.  A
 block takes them from one array call of ``mlfunc.series.evaluate`` for all
-its orders and all its times: each entry takes its scalar route (series or
-path by |lambda| t^alpha), and the path entries share one batched path
-integral.  ``ml_matrix`` takes one time or a 1-D array of them.
+its orders and all its times: each entry takes its scalar route (series,
+expansion at infinity or path by |lambda| t^alpha), and the path entries
+share one batched path integral.  ``ml_matrix`` takes one time or a 1-D
+array of them.
 
 ``decay_check`` and ``integral_check`` validate the two stability
 statements: under the sector condition |arg lambda_i| > alpha*pi/2 for all

@@ -19,14 +19,16 @@ router deal with this:
 * ``evaluate`` is the one place that picks the route of a value, and it
   takes one (t, l) entry or 1-D arrays of them, each entry routed as alone.
   With z = lambda t**alpha it sums the series while |z| <= min(4, 200**alpha)
-  and for every z at alpha = 1.  The plain pass is kept when its error
-  estimate meets the tolerance.  Otherwise alpha < 1 takes the contour
-  representation, which never cancels, and only alpha = 1 and arguments
-  whose imaginary part is below the contour route's resolution fall back
-  to the extended mode.  Beyond the band alpha < 1 takes the contour
-  representation outright; the path entries of an array share one
-  batched path integral.  E_{1,1} = exp is taken in closed form.
-  ``ml_eval`` is its underived case at t = 1.
+  (|z| <= 600 at alpha = 1) and keeps the plain pass when its error
+  estimate meets the tolerance.  An entry the series declines tries the
+  expansion at infinity ("asymptotic", in ``contour``), kept when its
+  certified remainder and rounding bar meet the tolerance; the entries of
+  an array try it in one vectorized pass.  What is left takes the contour
+  representation, which never cancels, at alpha < 1, and the extended mode
+  at alpha = 1; arguments whose imaginary part is below the other routes'
+  resolution keep the extended mode on the band.  The path entries of an
+  array share one batched path integral.  E_{1,1} = exp is taken in
+  closed form.  ``ml_eval`` is its underived case at t = 1.
 
 ``ml_series_deriv`` sums the lambda-derivative series
 
@@ -102,7 +104,7 @@ class MLParams:
         object.__setattr__(self, "beta", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """A value with its error bar, the route that produced it and the work
     it took.  An array call of ``evaluate`` gives arrays of values and
@@ -110,8 +112,9 @@ class EvalResult:
 
     value: complex
     err_estimate: float
-    # "series" | "contour" | "compensated-series" (extended mode: only at
-    # alpha = 1, for sub-resolution imaginary parts, or when forced)
+    # "series" | "asymptotic" (expansion at infinity; counts its terms) |
+    # "contour" (counts panels) | "compensated-series" (extended mode: only
+    # at alpha = 1, for sub-resolution imaginary parts, or when forced)
     method: str
     terms_or_panels: int
 
@@ -395,26 +398,32 @@ def evaluate(p: MLParams, lam: complex, t: float | np.ndarray, l: int | np.ndarr
     """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha), by the
     route this package picks for every value.
 
-    With z = lambda * t**alpha the series band is |z| <= min(4, 200**alpha),
-    and every z at alpha = 1.  On the band the plain series pass is kept
-    when its error estimate meets ``controls.tol`` relative to the value
-    (the closed forms at t = 0 and lambda = 0 always do).  When it misses,
-    alpha = 1 sums in extended precision and alpha < 1 takes the contour
-    representation (``ml_contour_deriv``), as it does everywhere beyond the
-    band.  One exception: at alpha < 1 a z whose nonzero imaginary part is
-    at most ``controls.quad.rel_tol * |z|`` keeps ``ml_series_deriv``'s
-    auto mode, plain then extended.  The contour route forms zeta - z in
-    doubles and loses such an imaginary part, which a complex-step
-    derivative needs.  The series' largest term is about
-    exp(|z|**(1/alpha)); the 200**alpha cap keeps the extended mode under
-    about 90 digits.  At alpha = beta = 1 the value is the closed form
-    t**l exp(lambda t), and EvaluationError is raised only where it overflows.
+    With z = lambda * t**alpha the routes are tried in this order:
+
+    1. At alpha = beta = 1 the closed form t**l exp(lambda t), which raises
+       EvaluationError only where it overflows.
+    2. The plain series pass on the series band, |z| <= min(4, 200**alpha)
+       at alpha < 1 and |z| <= 600 at alpha = 1, kept when its error
+       estimate meets ``controls.tol`` relative to the value (the closed
+       forms at t = 0 and lambda = 0 always do).  A z whose nonzero
+       imaginary part is at most ``controls.quad.rel_tol * |z|`` keeps
+       ``ml_series_deriv``'s auto mode on the band, plain then extended:
+       the other routes lose such an imaginary part, which a complex-step
+       derivative needs.
+    3. The expansion at infinity ("asymptotic"), kept when its whole error
+       bar, the certified remainder included, meets ``controls.tol``
+       relative to the value.
+    4. At alpha = 1 the extended series, up to |z| = 600 (its largest term,
+       about e**|z|, nears the edge of the double range there; beyond, the
+       call raises EvaluationError).  At alpha < 1 the contour
+       representation (``ml_contour_deriv``), which never cancels.
 
     ``t`` and ``l`` may also be 1-D arrays, broadcast together.  Each entry
-    then takes the route its scalar call takes, every entry bound for the
-    path route goes into one ``ml_contour_deriv`` call, and the result
-    holds arrays of values and error estimates and tuples of per-entry
-    routes and work counts (a path entry counts the panels of the batch).
+    then takes the route its scalar call takes, the entries that reach step
+    3 share one vectorized pass, every entry bound for the path route goes
+    into one ``ml_contour_deriv`` call, and the result holds arrays of
+    values and error estimates and tuples of per-entry routes and work
+    counts (a path entry counts the panels of the batch).
     """
     if _is_array(t) or _is_array(l):
         return _evaluate_many(p, lam, t, l, controls or EvalControls())
@@ -426,9 +435,15 @@ def evaluate(p: MLParams, lam: complex, t: float | np.ndarray, l: int | np.ndarr
     res = _series_route(p, lam, t, l, controls)
     if res is not None:
         return res
-    from .contour import ml_contour_deriv  # deferred: contour builds on this module
+    # deferred: contour builds on this module
+    from .contour import _expansion_route, ml_contour_deriv
 
-    return ml_contour_deriv(p, lam, t, l, controls.quad)
+    l = require_orders("l", l)
+    res = _expansion_route(p, complex(lam), np.array([float(t)]), np.array([l]),
+                           controls.tol)[0]
+    if res is None:
+        res = _after_expansion(p, lam, t, l)
+    return res if res is not None else ml_contour_deriv(p, lam, t, l, controls.quad)
 
 
 def _is_array(x) -> bool:
@@ -439,9 +454,9 @@ def _is_array(x) -> bool:
 
 def _series_route(p: MLParams, lam: complex, t: float, l: int,
                   controls: EvalControls) -> EvalResult | None:
-    """``evaluate``'s route choice for one validated entry: the result of the
-    closed form or the series when either takes the entry, else None, and
-    the entry goes to the path route."""
+    """Steps 1 and 2 of ``evaluate``'s route order for one validated entry:
+    the result of the closed form or the series when either takes the
+    entry, else None."""
     if p.alpha == 1.0 and p.beta == 1.0:
         if l < 0 or l != int(l):
             raise DomainError("derivative order must be a nonnegative integer")
@@ -456,21 +471,23 @@ def _series_route(p: MLParams, lam: complex, t: float, l: int,
         return EvalResult(value, 4.0 * _EPS * (1.0 + abs(lam * t)) * abs(value), "series", 1)
     t_alpha = t ** p.alpha
     z_mod = abs(lam) * t_alpha
-    if p.alpha == 1.0:
-        # the terms are exponential-type and the series converges for every
-        # z, but past |z| = 600 its largest term, about e**|z|, nears the
-        # edge of the double range
-        if z_mod > 600.0:
-            raise EvaluationError(
-                "value exceeds the double-precision range for alpha >= 1")
-        return ml_series_deriv(p, lam, t, l, controls.tol)
-    if z_mod > min(4.0, 200.0 ** p.alpha):
+    if z_mod > (600.0 if p.alpha == 1.0 else min(4.0, 200.0 ** p.alpha)):
         return None
     if 0.0 < abs(complex(lam).imag) * t_alpha <= controls.quad.rel_tol * z_mod:
         return ml_series_deriv(p, lam, t, l, controls.tol)
     return _accepted_plain(
         lambda: ml_series_deriv(p, lam, t, l, controls.tol, extended=False),
         controls.tol)
+
+
+def _after_expansion(p: MLParams, lam: complex, t: float, l: int) -> EvalResult | None:
+    """Step 4 of ``evaluate`` at alpha = 1, for an entry the expansion
+    declined; None at alpha < 1, where the entry takes the path route."""
+    if p.alpha < 1.0:
+        return None
+    if abs(lam) * t > 600.0:
+        raise EvaluationError("value exceeds the double-precision range for alpha >= 1")
+    return _series_extended(p, complex(lam), t, l)
 
 
 def _evaluate_many(p: MLParams, lam: complex, t: float | np.ndarray,
@@ -488,13 +505,20 @@ def _evaluate_many(p: MLParams, lam: complex, t: float | np.ndarray,
                           f"lengths {ts.size} and {np.size(ls)}") from None
     results = [_series_route(p, lam, tj, lj, controls)
                for tj, lj in zip(ts.tolist(), ls.tolist())]
-    path = [j for j, res in enumerate(results) if res is None]
-    if path:
-        from .contour import ml_contour_deriv
+    rest = [j for j, res in enumerate(results) if res is None]
+    if rest:
+        from .contour import _expansion_route, ml_contour_deriv
 
-        batch = ml_contour_deriv(p, lam, ts[path], ls[path], controls.quad)
-        for j, value, err in zip(path, batch.value.tolist(), batch.err_estimate.tolist()):
-            results[j] = EvalResult(value, err, "contour", batch.terms_or_panels)
+        expanded = _expansion_route(p, complex(lam), ts[rest], ls[rest], controls.tol)
+        for j, res in zip(rest, expanded):
+            results[j] = res if res is not None else \
+                _after_expansion(p, lam, float(ts[j]), int(ls[j]))
+        path = [j for j in rest if results[j] is None]
+        if path:
+            batch = ml_contour_deriv(p, lam, ts[path], ls[path], controls.quad)
+            for j, value, err in zip(path, batch.value.tolist(),
+                                     batch.err_estimate.tolist()):
+                results[j] = EvalResult(value, err, "contour", batch.terms_or_panels)
     return EvalResult(np.array([res.value for res in results], dtype=complex),
                       np.array([res.err_estimate for res in results], dtype=float),
                       tuple(res.method for res in results),

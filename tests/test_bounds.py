@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,29 @@ def test_expansion_first_order_is_lemma4_m_hat():
             assert expansion_remainder(ctx, 1, l, i1) == m_hat[l]
         # the order-1 term vanishes because 1/Gamma(0) = 0
         assert expansion_coefficient(alpha, lam, 1, 0) == 0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, complex(0.7, 0.4)])
+@pytest.mark.parametrize("lam", [-1.5, 2.0, complex(-1.0, 2.0)])
+def test_expansion_coefficient_for_any_beta(beta, lam):
+    # -(-1)^l C(k+l-1, l) lam^(-k-l) / Gamma(beta - alpha k), one entry or
+    # an array of them; real for a real lambda and beta
+    alpha = 0.6
+    k = np.arange(1, 7)[None, :]
+    l = np.arange(4)[:, None]
+    coef = expansion_coefficient(alpha, lam, k, l, beta)
+    assert coef.shape == (4, 6)
+    for (li, ki), c in np.ndenumerate(coef):
+        kk, ll = ki + 1, li
+        want = (-(-1) ** ll * math.comb(kk + ll - 1, ll) * complex(lam) ** (-kk - ll)
+                * complex(mp.rgamma(complex(beta) - alpha * kk)))
+        assert c == pytest.approx(want, rel=1e-13)
+        one = expansion_coefficient(alpha, lam, kk, ll, beta)
+        assert one == pytest.approx(c, rel=1e-15)
+    assert np.isrealobj(coef) == (complex(lam).imag == 0.0 and complex(beta).imag == 0.0)
+    # beta defaults to alpha
+    assert expansion_coefficient(alpha, lam, 2, 1) == \
+        expansion_coefficient(alpha, lam, 2, 1, alpha)
 
 
 # -------------------------------------------------------------- certificates

@@ -82,7 +82,8 @@ def test_eval_contour_dispatch_reported():
     rc, out, _ = run(["eval", "--alpha", "0.5", "--beta", "1", "--z=-20"])
     assert rc == EXIT_OK
     rec = json.loads(out)["records"][0]
-    assert rec["method"] == "contour"
+    # past the series band the expansion at infinity certifies this argument
+    assert rec["method"] == "asymptotic"
     # E at -20 for alpha = 1/2 equals the scaled complementary error function
     assert rec["value"]["re"] == pytest.approx(0.028174348741051312, rel=1e-10)
 
@@ -320,11 +321,12 @@ def test_exit_eval_error_on_divergent_series():
 
 
 def test_eval_tiny_alpha_left_argument_takes_the_contour_route():
-    # the series needs ~1e15 terms here; the path route does not
+    # the series needs ~1e15 terms here; the expansion at infinity, which
+    # certifies this argument ahead of the path route, does not
     rc, out, _ = run(["eval", "--alpha", "0.05", "--beta", "1", "--z=-5"])
     assert rc == EXIT_OK
     rec = json.loads(out)["records"][0]
-    assert rec["method"] == "contour"
+    assert rec["method"] == "asymptotic"
     assert rec["value"]["re"] == pytest.approx(0.16250645664935, rel=1e-12)
 
 

@@ -13,6 +13,7 @@ from mlfunc.contour import (
     ContourSpec,
     RegionClass,
     _explicit_term,
+    _path_geometry,
     admissible_specs,
     cauchy_integral,
     classify_region,
@@ -69,6 +70,26 @@ def test_contour_distance_nonnegative(alpha, r, phi):
     spec = _spec(alpha)
     z = r * cmath.exp(1j * phi)
     assert contour_distance(spec, z) >= 0.0
+
+
+@given(st.floats(min_value=0.05, max_value=0.999),
+       st.sampled_from([0.5, 1.0, 2.0]),
+       st.floats(min_value=0.0, max_value=30.0),
+       st.floats(min_value=-math.pi, max_value=math.pi))
+@settings(max_examples=60)
+def test_path_geometry_matches_a_sampled_path(frac, eps, r, phi):
+    # theta = frac * pi covers every alpha < 1 and the alpha = 1 paths;
+    # the distance to a finely sampled path bounds it from above
+    theta = 0.5 * math.pi + frac * 0.5 * math.pi
+    z = r * cmath.exp(1j * phi)
+    dist, g_plus = _path_geometry(theta, eps, z)
+    s = eps + np.geomspace(1e-9, 1e3, 20001) - 1e-9
+    arc = eps * np.exp(1j * np.linspace(-theta, theta, 20001))
+    path = np.concatenate((s * cmath.exp(1j * theta), s * cmath.exp(-1j * theta), arc))
+    sampled = np.abs(path - z).min()
+    assert dist <= sampled + 1e-12 * (1.0 + r)
+    assert sampled <= dist + 0.01 * eps + 1e-3 * r
+    assert bool(g_plus) == (abs(z) > eps and abs(cmath.phase(z)) < theta)
 
 
 # ------------------------------------------------- reciprocal gamma identity

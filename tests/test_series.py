@@ -13,6 +13,7 @@ from mlfunc import series as series_module
 from mlfunc.contour import admissible_specs
 from mlfunc.numcore import DomainError, recip_gamma
 from mlfunc.series import (
+    EvalControls,
     EvaluationError,
     MLParams,
     SeriesConvergenceError,
@@ -140,10 +141,10 @@ def test_upgrade_on_cancellation():
     assert res.method == "contour"
     assert res.value.real == pytest.approx(want, rel=1e-11)
     assert abs(res.value - want) <= res.err_estimate
-    # past the band the contour route takes over
+    # past the band the expansion at infinity certifies this argument
     res = ml_eval(MLParams(0.5, 1.0), -8.0)
     want = math.exp(64.0) * sp.erfc(8.0)
-    assert res.method == "contour"
+    assert res.method == "asymptotic"
     assert res.value.real == pytest.approx(want, rel=1e-11)
     assert abs(res.value - want) <= res.err_estimate
 
@@ -160,7 +161,8 @@ def test_sub_resolution_imaginary_part_keeps_the_series():
 
 
 def test_no_extended_series_below_alpha_one_on_the_band(monkeypatch):
-    # every plain-series miss below alpha = 1 must go to the contour route
+    # every plain-series miss below alpha = 1 must go to the expansion at
+    # infinity or the contour route
     def refuse(*args):
         raise AssertionError("extended series called")
 
@@ -178,13 +180,14 @@ def test_no_extended_series_below_alpha_one_on_the_band(monkeypatch):
         res = evaluate(MLParams(alpha, beta), z / t ** alpha, t, int(rng.integers(0, 4)))
         assert math.isfinite(abs(res.value))
         methods.add(res.method)
-    assert methods == {"series", "contour"}
+    assert methods == {"series", "asymptotic", "contour"}
 
 
 def test_contour_dispatch_beyond_series_range():
-    # E_{1/2,1}(-x) = exp(x^2) erfc(x) = erfcx(x), here far past the series range
+    # E_{1/2,1}(-x) = exp(x^2) erfc(x) = erfcx(x), here far past the series
+    # range, where the expansion at infinity certifies it
     res = ml_eval(MLParams(0.5, 1.0), -30.0)
-    assert res.method == "contour"
+    assert res.method == "asymptotic"
     assert res.value.real == pytest.approx(sp.erfcx(30.0), rel=1e-9)
 
 
@@ -444,7 +447,8 @@ def test_array_evaluate_matches_scalar_calls(alpha, beta, r, phi, rows):
 
 def test_array_evaluate_broadcasts_one_time_against_orders():
     p = MLParams(0.6, 1.0)
-    res = evaluate(p, -2.0, 30.0, [0, 1, 2])
+    # |z| = 4.6: past the series band, too close in for the expansion
+    res = evaluate(p, -2.0, 4.0, [0, 1, 2])
     assert res.method == ("contour",) * 3
     res = evaluate(p, -0.5, [0.0, 1.0], 1)
     assert res.method == ("series", "series")
@@ -486,3 +490,79 @@ def test_array_evaluate_splits_a_batch_no_one_path_clears(monkeypatch):
 def test_array_evaluate_rejects_bad_arguments_by_name(t, l, message):
     with pytest.raises(DomainError, match=message):
         evaluate(MLParams(0.6, 1.0), -1.0, t, l)
+
+
+# --------------------------------------------------------- expansion route
+
+@given(st.one_of(st.floats(min_value=0.3, max_value=1.0), st.just(1.0)),
+       st.sampled_from(["alpha", "1", "1.5", "2.5", "0.7+0.4i"]),
+       st.integers(min_value=0, max_value=3),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=-math.pi, max_value=math.pi))
+@settings(max_examples=30, deadline=None)
+def test_expansion_route_error_bar_covers_the_oracle(alpha, beta_kind, l, frac, phi):
+    # |z| log-uniform from the series band's edge to 60, capped where
+    # |z|**(1/alpha) = 250 keeps the oracle's series affordable
+    beta = {"alpha": alpha, "1": 1.0, "1.5": 1.5, "2.5": 2.5,
+            "0.7+0.4i": complex(0.7, 0.4)}[beta_kind]
+    assume(not (alpha == 1.0 and beta == 1.0))
+    lo, hi = math.log(min(4.0, 200.0 ** alpha)), math.log(min(60.0, 250.0 ** alpha))
+    assume(lo < hi)
+    z = cmath.rect(math.exp(lo + frac * (hi - lo)), phi)
+    p = MLParams(alpha, beta)
+    res = evaluate(p, z, 1.0, l)
+    if res.method == "asymptotic":
+        oracle = ml_series_deriv(p, z, 1.0, l, extended=True)
+        assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+
+
+def test_expansion_route_refuses_a_tolerance_out_of_its_reach():
+    # E_{1/2,1}(-30) = erfcx(30): the expansion certifies about 3e-13
+    # relative, so a tolerance of 1e-15 sends the argument to the path
+    p = MLParams(0.5, 1.0)
+    assert ml_eval(p, -30.0).method == "asymptotic"
+    res = ml_eval(p, -30.0, EvalControls(tol=1e-15))
+    assert res.method == "contour"
+    assert res.value.real == pytest.approx(sp.erfcx(30.0), rel=1e-9)
+
+
+def test_array_evaluate_mixes_series_expansion_and_path_entries():
+    # |z| = 1.3, 4.6, 15.4 and 31.6: series, path, expansion, expansion
+    p = MLParams(0.6, 1.5)
+    ts = np.array([0.5, 4.0, 30.0, 100.0, 30.0])
+    ls = np.array([0, 1, 0, 2, 3])
+    res = evaluate(p, -2.0 + 0.5j, ts, ls)
+    assert set(res.method) == {"series", "asymptotic", "contour"}
+    for t, l, value, err, method in zip(ts, ls, res.value, res.err_estimate, res.method):
+        one = evaluate(p, -2.0 + 0.5j, float(t), int(l))
+        assert method == one.method
+        assert abs(value - one.value) <= err + one.err_estimate
+
+
+@pytest.mark.parametrize("beta, z", [(2.7, -300.0), (1.5, complex(-40.0, 10.0)),
+                                     (0.5, 30j), (2.0, -50.0)])
+def test_alpha_one_expansion_matches_the_extended_series(beta, z):
+    # at alpha = 1 the expansion comes before the extended series
+    p = MLParams(1.0, beta)
+    res = evaluate(p, z, 1.0, 0)
+    assert res.method == "asymptotic"
+    oracle = ml_series_deriv(p, z, 1.0, 0, extended=True)
+    assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+
+
+def test_alpha_one_past_the_series_range_takes_the_expansion():
+    # E_{1,2}(z) = (e^z - 1)/z; past |z| = 600 this once raised
+    res = evaluate(MLParams(1.0, 2.0), -700.0, 1.0, 0)
+    assert res.method == "asymptotic"
+    assert res.value.imag == 0.0  # a real z gives a real value
+    assert abs(res.value.real - (1.0 - math.exp(-700.0)) / 700.0) <= res.err_estimate
+    # an explicit term e^z past the double range still fails loudly
+    with pytest.raises(EvaluationError):
+        evaluate(MLParams(1.0, 2.0), 1000.0, 1.0, 0)
+
+
+def test_eval_result_is_lean():
+    res = ml_eval(MLParams(0.6, 1.0), -4.5)
+    assert res.method == "contour"
+    assert type(res.value) is complex and type(res.err_estimate) is float
+    assert not hasattr(res, "__dict__")
