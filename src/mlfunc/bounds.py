@@ -50,7 +50,10 @@ exterior lambda and z = lambda t^a with t >= t0,
 
 where I_N integrates |exp(zeta**(1/a))| |zeta|**(1/a - 1 + N) over the path
 and (N)_j is the rising factorial.  I_1 = I1, so N = 1 reproduces M_hat_l;
-``expansion_remainder`` is the one implementation of that constant.
+``expansion_remainder`` is the one implementation of that constant.  Past
+N = 1 it takes I_N from the closed-form bound ``contour.path_mass_bound``
+(rays extended to [0, inf) plus the unit arc), the one mass bound the
+expansion route of ``evaluate`` uses too.
 
 ``certify_*`` measure the left sides on a geometric t-grid by routes that
 never subtract the large exponential (the remainder IS a path integral and
@@ -103,7 +106,6 @@ __all__ = [
     "lemma2_constants",
     "Lemma4Constants",
     "lemma4_constants",
-    "kappa_moment",
     "expansion_coefficient",
     "expansion_remainder",
     "CertificatePoint",
@@ -259,18 +261,6 @@ def kappa_integrals(alpha: float, theta: float) -> KappaIntegrals:
     return KappaIntegrals(v0, v1, e0, e1)
 
 
-def kappa_moment(alpha: float, theta: float, n: int) -> tuple[float, float]:
-    """I_n: the mass of |exp(zeta**(1/a))| |zeta|**(1/a - 1 + n) over
-    gamma(1, theta), returned as (value, quadrature error estimate).
-
-    I_1 is ``kappa_integrals(alpha, theta).i1``; I_n carries the order-n
-    remainder of the asymptotic expansion.
-    """
-    if n < 1 or n != int(n):
-        raise DomainError("expansion order must be a positive integer")
-    return _path_mass(alpha, theta, 1.0 / alpha - 1.0 + n)
-
-
 def expansion_coefficient(alpha: float, lam, k, l, beta: complex | None = None):
     """Coefficient of t^(-alpha k) in the order-k term of
     (1/l!) d^l/dlambda^l E_{a,b}(lambda t^a) expanded at infinity:
@@ -301,8 +291,8 @@ def expansion_coefficient(alpha: float, lam, k, l, beta: complex | None = None):
 def expansion_remainder(ctx: SectorContext, n: int, l: int, i_n: float) -> float:
     """Constant C with |d^l/dlambda^l R_n(lambda t^a)| <= C / t^(a(n+1)) for
     t >= t0 on the exterior side, where R_n is the remainder of E_{a,a}
-    after the order-n expansion.  ``i_n`` is I_n from ``kappa_moment``;
-    pass value + error to keep the bound certified.  At n = 1 with
+    after the order-n expansion.  ``i_n`` is an upper bound on I_n, such
+    as the closed form ``contour.path_mass_bound``.  At n = 1 with
     i_n = I1 this is Lemma 4's M_hat_l.
     """
     s = math.sin(ctx.theta0)
@@ -487,12 +477,12 @@ def _certify_lemma2(name: str, side: str, ctx: SectorContext, beta: complex,
     ts = _t_grid(consts.t0, t_max_factor, n_points)
     if side == "interior":
         spec = _interior_eval_spec(ctx)
-        zs = [ctx.lam * t ** ctx.alpha for t in ts]
-        if any(classify_region(spec, z) is not RegionClass.G_PLUS for z in zs):
+        zs = np.array([ctx.lam * t ** ctx.alpha for t in ts])
+        if any(region is not RegionClass.G_PLUS for region in classify_region(spec, zs)):
             raise SectorContextError(
                 "hypothesis violated: lambda t^alpha left G+ of the "
                 "evaluation path")
-        values, errs, _ = cauchy_integral(spec, p, np.array(zs), _CERT_QUAD, 0)
+        values, errs, _ = cauchy_integral(spec, p, zs, _CERT_QUAD, 0)
     else:
         res = ml_contour_deriv(p, ctx.lam, ts, 0, _CERT_QUAD)
         values, errs = res.value, res.err_estimate

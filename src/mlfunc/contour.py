@@ -44,13 +44,17 @@ rays extended to [0, inf) and the unit arc give it in closed form,
 
     I_N <= e^(|Im beta| theta/alpha) (2 alpha c^(-A) Gamma(A) + 2 theta e),
 
-finite for s > -1.  For l >= 1, Cauchy's estimate on the disk of radius
+finite for s > -1 (``path_mass_bound``, which ``matrixfn``'s tail
+bound takes too).  For l >= 1, Cauchy's estimate on the disk of radius
 rho = dist(z, gamma)/2 about z, which stays off the path and away from 0,
 bounds the l-th derivative of the remainder by
 l! I_N / (2 alpha pi rho^(l+1) (|z| - rho)^N).  No quadrature enters, and
 none of this needs alpha < 1: at alpha = 1 the same paths, with theta in
 (pi/2, pi), carry the expansion of E_{1,beta}.  ``_expansion_route`` is
 ``evaluate``'s route on it.
+
+``ml_contour_deriv`` and ``_expansion_route`` take lambda, t and l as 1-D
+arrays, so one call serves every eigenvalue of a matrix argument.
 """
 
 import cmath
@@ -88,6 +92,7 @@ __all__ = [
     "integrate_gamma",
     "ml_contour",
     "ml_contour_deriv",
+    "path_mass_bound",
     "recip_gamma_via_contour",
 ]
 
@@ -146,16 +151,17 @@ def contour_distance(spec: ContourSpec, z: complex) -> float:
     return float(_path_geometry(spec.theta, spec.eps, complex(z))[0])
 
 
-def classify_region(spec: ContourSpec, z: complex) -> RegionClass:
+def classify_region(spec: ContourSpec, z) -> RegionClass | tuple[RegionClass, ...]:
     """G+/G- classification with a near-path guard band: anything closer to
     the path than 1e-6 * max(1, |z|) is reported NEAR_CONTOUR instead of
-    either region.
+    either region.  A 1-D array of arguments is classified in one pass and
+    gives a tuple, one class per entry.
     """
-    z = complex(z)
-    dist, g_plus = _path_geometry(spec.theta, spec.eps, z)
-    if _near_path(dist, z):
-        return RegionClass.NEAR_CONTOUR
-    return RegionClass.G_PLUS if g_plus else RegionClass.G_MINUS
+    zs = np.asarray(z, dtype=complex)
+    dist, g_plus = _path_geometry(spec.theta, spec.eps, zs)
+    classes = np.where(_near_path(dist, zs), RegionClass.NEAR_CONTOUR,
+                       np.where(g_plus, RegionClass.G_PLUS, RegionClass.G_MINUS))
+    return tuple(classes.tolist()) if zs.ndim else classes[()]
 
 
 def contour_path(spec: ContourSpec) -> list[PathSegment]:
@@ -329,7 +335,7 @@ def ml_contour(p: MLParams, z: complex,
     return _path_route(p, complex(z), 1.0, 0, None, spec)
 
 
-def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray,
+def ml_contour_deriv(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
                      l: int | np.ndarray,
                      controls: QuadratureControls | None = None,
                      spec: ContourSpec | None = None) -> EvalResult:
@@ -340,18 +346,19 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray,
     term is differentiated in closed form.  ``controls`` defaults to
     DEFAULT_CONTROLS; the certificates pass ``bounds._CERT_QUAD``.
 
-    ``t`` is one time or a 1-D array of them, and ``l`` one order or a 1-D
-    array of them; the two broadcast together, and entry j is the l_j-th
-    derivative at t_j.  An array gives an EvalResult whose value and
-    err_estimate are arrays, from one batched path integral on one spec
-    (its panels are the shared partition).  The default spec is the first
-    one ``admissible_specs`` yields for all the arguments lambda t**alpha
-    together; when no path clears them all, the entries are grouped by the
-    first path that clears each one, one integral per group, and the
+    ``lam`` is one value or a 1-D array of them, ``t`` one time or a 1-D
+    array of them, and ``l`` one order or a 1-D array of them; the three
+    broadcast together, and entry j is the l_j-th derivative at lambda_j,
+    t_j.  An array gives an EvalResult whose value and err_estimate are
+    arrays, from one batched path integral on one spec (its panels are the
+    shared partition).  The default spec is the first one
+    ``admissible_specs`` yields for all the arguments lambda t**alpha
+    together; only when no path clears them all are the entries grouped by
+    the first path that clears each one, one integral per group, and the
     panels add up.
     """
     l = require_orders("l", l)
-    require_finite("lam", lam)
+    lam = require_grid("lam", lam, complex)
     t = require_grid("t", t)
     if t.min() <= 0.0:
         raise DomainError("the path route needs t > 0")
@@ -361,17 +368,24 @@ def ml_contour_deriv(p: MLParams, lam: complex, t: float | np.ndarray,
         except ValueError:
             raise DomainError(f"arguments t and l must broadcast together, got "
                               f"lengths {t.size} and {l.size}") from None
-    return _path_route(p, complex(lam), t, l, controls, spec)
+    if lam.ndim:
+        try:
+            lam, t = np.broadcast_arrays(lam, t)
+        except ValueError:
+            raise DomainError(f"arguments lam and t must broadcast together, got "
+                              f"lengths {lam.size} and {t.size}") from None
+        l = np.broadcast_to(l, t.shape)
+    return _path_route(p, lam if lam.ndim else complex(lam), t, l, controls, spec)
 
 
-def _path_route(p: MLParams, lam: complex, t: float | np.ndarray,
+def _path_route(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
                 l: int | np.ndarray, controls: QuadratureControls | None,
                 spec: ContourSpec | None) -> EvalResult:
     """The path route of ``ml_contour`` and ``ml_contour_deriv`` on their
-    validated arguments (an array ``l`` has the shape of ``t``): one batched
-    integral over every (t, l) entry, plus the explicit term with its error
-    bar at each z in G+ of the path.  A single time runs as a length-1
-    array and its result is unwrapped."""
+    validated arguments (an array ``lam`` or ``l`` has the shape of ``t``):
+    one batched integral over every (lambda, t, l) entry, plus the explicit
+    term with its error bar at each z in G+ of the path.  A single time
+    runs as a length-1 array and its result is unwrapped."""
     t_alpha = np.atleast_1d(t) ** p.alpha
     z = lam * t_alpha
     if spec is None:
@@ -392,7 +406,7 @@ def _path_route(p: MLParams, lam: complex, t: float | np.ndarray,
     return EvalResult(value, err, "contour", panels)
 
 
-def _grouped_path_route(p: MLParams, lam: complex, t: np.ndarray,
+def _grouped_path_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray,
                         l: int | np.ndarray, controls: QuadratureControls | None,
                         z: np.ndarray) -> EvalResult:
     """``_path_route`` when no one path clears every argument in ``z``: the
@@ -402,12 +416,13 @@ def _grouped_path_route(p: MLParams, lam: complex, t: np.ndarray,
     if None in firsts:
         raise EvaluationError("no admissible path separates the argument")
     orders = np.broadcast_to(l, t.shape)
+    lams = np.broadcast_to(lam, t.shape)
     value = np.empty(t.shape, dtype=complex)
     err = np.empty(t.shape)
     panels = 0
     for spec in dict.fromkeys(firsts):
         rows = [j for j, first in enumerate(firsts) if first == spec]
-        part = _path_route(p, lam, t[rows], orders[rows], controls, spec)
+        part = _path_route(p, lams[rows], t[rows], orders[rows], controls, spec)
         value[rows] = part.value
         err[rows] = part.err_estimate
         panels += part.terms_or_panels
@@ -417,10 +432,10 @@ def _grouped_path_route(p: MLParams, lam: complex, t: np.ndarray,
 # --------------------------------------------------------------------------
 # the large-|z| expansion
 
-# theta/alpha on the rays of ``admissible_specs``, and c = -cos(theta/alpha),
-# the rate of the decay exp(-c r^(1/alpha)) of the kernel along them
+# theta/alpha on the rays of ``admissible_specs``, and the largest
+# c = -cos(theta/alpha), the rate of the decay exp(-c r^(1/alpha)) of the
+# kernel along them
 _RAY_TURNS = np.array(_THETA_FRACS) * math.pi
-_LOG_C = np.log(-np.cos(_RAY_TURNS))[:, None]
 _C_MAX = -math.cos(max(_THETA_FRACS) * math.pi)
 # the orders stop where alpha N + |beta| nears Gamma's overflow at 171.6,
 # and 40/alpha past the first: were the smallest bound further out, the
@@ -429,32 +444,44 @@ _GAMMA_ARG_MAX = 168.0
 _ORDER_SPAN = 40.0
 
 
-def _expansion_masses(alpha: float, beta: complex):
-    """(orders N, log I_N) on the paths gamma(1, theta) of the ray angles
-    of ``admissible_specs``, one row per angle.
+def path_mass_bound(alpha: float, beta: complex, turns, orders) -> np.ndarray:
+    """log of a closed-form upper bound on I_N, the mass of
+    |exp(zeta^(1/alpha)) zeta^((1-beta)/alpha)| |zeta|^N over the path
+    gamma(1, theta), one row per ray angle theta = alpha * turns (``turns``
+    a 1-D array, each in (pi/2, pi)) and one column per order N.
 
     With s = (1 - Re beta)/alpha + N, A = alpha (s + 1) and
-    c = -cos(theta/alpha), the ray mass over [0, inf) and the unit arc give
+    c = -cos(theta/alpha), the rays extended to [0, inf) and the unit arc
+    give
 
-        I_N <= e^(|Im beta| theta/alpha) (2 alpha c^(-A) Gamma(A) + 2 theta e).
+        I_N <= e^(|Im beta| theta/alpha) (2 alpha c^(-A) Gamma(A) + 2 theta e),
 
-    An order with s <= -1 has no finite ray mass and is left out."""
+    finite for s > -1.  At beta = alpha, I_1 bounds the paper's I1
+    (``bounds.kappa_integrals``)."""
+    turns = np.asarray(turns, dtype=float)[:, None]
+    big_a = 1.0 - beta.real + alpha * (np.asarray(orders) + 1.0)
+    log_ray = math.log(2.0 * alpha) + gammaln(big_a) - big_a * np.log(-np.cos(turns))
+    log_arc = np.log(2.0 * math.e * alpha * turns)
+    return np.logaddexp(log_ray, log_arc) + abs(beta.imag) * turns
+
+
+def _expansion_orders(alpha: float, beta: complex) -> np.ndarray:
+    """The orders N the expansion route may sum to: those with s > -1 (a
+    finite ray mass), up to the limits above."""
     n_lo = max(1, math.floor((beta.real - 1.0) / alpha - 1.0) + 1)
     n_hi = min(math.floor((_GAMMA_ARG_MAX - abs(beta)) / alpha),
                n_lo + math.floor(_ORDER_SPAN / alpha))
-    orders = np.arange(n_lo, n_hi + 1)
-    big_a = 1.0 - beta.real + alpha * (orders + 1.0)
-    log_ray = math.log(2.0 * alpha) + gammaln(big_a) - big_a * _LOG_C
-    log_arc = np.log(2.0 * math.e * alpha * _RAY_TURNS)[:, None]
-    return orders, np.logaddexp(log_ray, log_arc) + abs(beta.imag) * _RAY_TURNS[:, None]
+    return np.arange(n_lo, n_hi + 1)
 
 
-def _expansion_route(p: MLParams, lam: complex, t: np.ndarray, l: np.ndarray,
+def _expansion_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray, l: np.ndarray,
                      tol: float) -> list[EvalResult | None]:
-    """The l_j-th lambda-derivative of E_{alpha,beta}(lambda t_j**alpha) for
-    each entry j from the expansion at infinity, or None for an entry whose
-    error bar misses ``tol`` relative to its value.  All entries share one
-    vectorized pass.
+    """The l_j-th lambda-derivative of E_{alpha,beta}(lambda_j t_j**alpha)
+    for each entry j (``lam`` one value or an array shaped like ``t``) from
+    the expansion at infinity, or None for an entry whose error bar misses
+    ``tol`` relative to its value.  The explicit G+ term's own rounding is
+    left out of that test, since the path route would carry it too; the
+    reported bar includes it.  All entries share one vectorized pass.
 
     For z = lambda t**alpha off a path gamma(1, theta),
 
@@ -463,7 +490,7 @@ def _expansion_route(p: MLParams, lam: complex, t: np.ndarray, l: np.ndarray,
 
     with rho = dist(z, gamma)/2 (Cauchy's estimate on the disk of radius
     rho, which stays off the path), and at l = 0 with rho = dist(z, gamma)
-    and |z|^N in the denominator.  I_N is ``_expansion_masses``.
+    and |z|^N in the denominator.  I_N is ``path_mass_bound``.
 
     A screen first passes on at once every entry that falls e^5 short of
     tol even on a rough estimate (below).  Each other entry takes the ray
@@ -497,9 +524,10 @@ def _expansion_route(p: MLParams, lam: complex, t: np.ndarray, l: np.ndarray,
         keep = np.flatnonzero(reach >= -math.log(tol) - 5.0)
         if not keep.size:
             return results
-        orders, log_i = _expansion_masses(alpha, beta)
+        orders = _expansion_orders(alpha, beta)
         if not orders.size:
             return results
+        log_i = path_mass_bound(alpha, beta, _RAY_TURNS, orders)
         t, l, z, z_mod = t[keep], l[keep], z[keep], z_mod[keep]
         # the smallest bound on each path, then the best path
         dist, g_plus = _path_geometry(_RAY_TURNS * alpha, 1.0, z[:, None])
@@ -553,7 +581,7 @@ def _expansion_route(p: MLParams, lam: complex, t: np.ndarray, l: np.ndarray,
         scales = t ** (alpha * l)
     for j in range(keep.size):
         value = complex(sums[j])
-        bar = float(bars[j])
+        bar = own = float(bars[j])
         if g_plus[j]:
             expl, expl_bar = _explicit_part(alpha, beta, complex(z[j]), int(l[j]))
             value += expl
@@ -561,7 +589,9 @@ def _expansion_route(p: MLParams, lam: complex, t: np.ndarray, l: np.ndarray,
         scale = float(scales[j])
         value *= scale
         bar *= scale
-        if cmath.isfinite(value) and bar <= tol * abs(value):
+        # the path route would carry the explicit term's rounding too, so
+        # only the expansion's own bar is held to tol
+        if cmath.isfinite(value) and math.isfinite(bar) and own * scale <= tol * abs(value):
             results[keep[j]] = EvalResult(value, bar, "asymptotic", int(n_terms[j, 0]))
     return results
 

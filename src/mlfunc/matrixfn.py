@@ -8,12 +8,14 @@ Toeplitz matrix
 
     E(t^alpha J)[r, r+j] = (1/j!) d^j/dlambda^j E_{alpha,beta}(lambda t^alpha)
 
-so everything reduces to the lambda-derivatives of orders 0..size-1.  A
-block takes them from one array call of ``mlfunc.series.evaluate`` for all
-its orders and all its times: each entry takes its scalar route (series,
-expansion at infinity or path by |lambda| t^alpha), and the path entries
-share one batched path integral.  ``ml_matrix`` takes one time or a 1-D
-array of them.
+so everything reduces to the lambda-derivatives of orders 0..size-1.
+``ml_matrix`` takes them for every block, order and time from one array
+call of ``mlfunc.series.evaluate`` (lambda, t and l as arrays): each entry
+takes its scalar route (series, expansion at infinity or path by
+|lambda| t^alpha), and each route makes one pass for the whole matrix, so
+the series entries share one numpy pass, the expansion entries another,
+and the path entries one batched path integral.  ``ml_matrix`` takes one
+time or a 1-D array of them.
 
 ``decay_check`` and ``integral_check`` validate the two stability
 statements: under the sector condition |arg lambda_i| > alpha*pi/2 for all
@@ -30,7 +32,8 @@ order N, a block's function value is
 
 with C_k the constant upper-triangular Toeplitz matrix of expansion
 coefficients; the nilpotent shifts have unit norm, so the remainder part is
-at most sum_l (1/l!) |d^l R_N| <= B_N tau^(-alpha(N+1)).  Every power
+at most sum_l (1/l!) |d^l R_N| <= B_N tau^(-alpha(N+1)), with the path mass
+I_N in B_N from the closed form ``contour.path_mass_bound``.  Every power
 integrates in closed form against tau^(alpha-1) on [T, infinity), blocks
 are combined through the per-power maximum of their coefficients (a bound on
 the block-diagonal norm at every tau), and a transform inflates the result
@@ -50,9 +53,9 @@ from .bounds import (
     SectorContextError,
     expansion_coefficient,
     expansion_remainder,
-    kappa_moment,
     sector_context,
 )
+from .contour import path_mass_bound
 from .numcore import (
     DomainError,
     QuadratureControls,
@@ -194,33 +197,49 @@ def ml_jordan_block(p: MLParams, lam: complex, size: int, t,
     if size != int(size) or int(size) < 1:
         raise DomainError("block size must be a positive integer")
     ts = require_grid("t", t)
-    size = int(size)
-    res = evaluate(p, complex(lam), np.repeat(ts, size), np.tile(np.arange(size), ts.size),
-                   EvalControls(quad=controls or QuadratureControls()))
-    values = res.value.reshape(ts.size, size)
-    out = np.zeros((ts.size, size, size), dtype=complex)
-    for j in range(size):
-        # Python's complex division, as the scalar entry takes it; numpy
-        # multiplies by the reciprocal of j!, which can be one ulp off
-        entries = [v / math.factorial(j) for v in values[:, j].tolist()]
-        for r in range(size - j):
-            out[:, r, r + j] = entries
+    out = _block_stack(p, ((complex(lam), int(size)),), ts, controls)
     return out if ts.ndim else out[0]
+
+
+def _block_stack(p: MLParams, blocks, ts: np.ndarray,
+                 controls: QuadratureControls | None) -> np.ndarray:
+    """blockdiag(E(t^alpha J_1), ...) for the (lambda, size) ``blocks`` at
+    each time of ``ts``, an (n, d, d) stack, from one array call of
+    ``evaluate`` over every block, time and order."""
+    ts = np.atleast_1d(ts)
+    lams, times, orders = [], [], []
+    for lam, size in blocks:
+        lams.append(np.full(ts.size * size, lam))
+        times.append(np.repeat(ts, size))
+        orders.append(np.tile(np.arange(size), ts.size))
+    res = evaluate(p, np.concatenate(lams), np.concatenate(times), np.concatenate(orders),
+                   EvalControls(quad=controls or QuadratureControls()))
+    dim = sum(size for _, size in blocks)
+    out = np.zeros((ts.size, dim, dim), dtype=complex)
+    at = 0
+    for lam, size in blocks:
+        values = res.value[at * ts.size:(at + size) * ts.size].reshape(ts.size, size)
+        for j in range(size):
+            # Python's complex division, as the scalar entry takes it; numpy
+            # multiplies by the reciprocal of j!, which can be one ulp off
+            entries = [v / math.factorial(j) for v in values[:, j].tolist()]
+            for r in range(at, at + size - j):
+                out[:, r, r + j] = entries
+        at += size
+    return out
 
 
 def ml_matrix(p: MLParams, a, t, controls: QuadratureControls | None = None) -> np.ndarray:
     """E_{alpha,beta}(t^alpha A) for a JordanSpec or a diagonalizable ndarray:
     a (d, d) matrix for one time, an (n, d, d) stack for a 1-D array of n
-    times, with one ``ml_jordan_block`` call per block."""
+    times.  Every block, order and time comes from one array call of
+    ``evaluate``, so the path entries of all blocks share one path
+    integral (split only when no one path clears them all)."""
     spec = _coerce_spec(a)
-    parts = [ml_jordan_block(p, lam, size, t, controls)
-             for lam, size in spec.blocks]
-    m = np.zeros(parts[0].shape[:-2] + (spec.dimension,) * 2, dtype=complex)
-    at = 0
-    for part in parts:   # block diagonal
-        k = part.shape[-1]
-        m[..., at:at + k, at:at + k] = part
-        at += k
+    ts = require_grid("t", t)
+    m = _block_stack(p, spec.blocks, ts, controls)
+    if not ts.ndim:
+        m = m[0]
     if spec.transform is not None:
         cond = np.linalg.cond(spec.transform)
         if cond > 1e12:
@@ -315,33 +334,39 @@ _MIN_ORDER_GAIN = 1e-3
 _INTEGRAL_QUAD = QuadratureControls(rel_tol=1e-8, abs_tol=1e-12, max_panels=512)
 
 
-def _tail_coefficients(ctx, size: int, n: int, i_n: float) -> dict[int, float]:
-    """{k: a_k} with ||E_{a,a}(tau^a J)||_2 <= sum_k a_k tau^(-a k) for
-    tau >= t0, J the size x size block at ctx.lam, from the order-n
-    expansion; ``i_n`` bounds the order-n path mass from above."""
-    coeffs = {}
-    for k in range(2, n + 1):
-        row = [expansion_coefficient(ctx.alpha, ctx.lam, k, l) for l in range(size)]
-        c_k = sum(np.diag(np.full(size - l, row[l]), l) for l in range(size))
-        coeffs[k] = float(np.linalg.norm(c_k, 2)) * _COEFF_SLACK
-    coeffs[n + 1] = sum(expansion_remainder(ctx, n, l, i_n) / math.factorial(l)
-                        for l in range(size)) * _COEFF_SLACK
-    return coeffs
+def _coefficient_norm(ctx, size: int, k: int) -> float:
+    """||C_k||_2 for the size x size block at ctx.lam: the upper-triangular
+    Toeplitz matrix of the order-k expansion coefficients, the same at
+    every expansion order past k."""
+    row = [expansion_coefficient(ctx.alpha, ctx.lam, k, l) for l in range(size)]
+    c_k = sum(np.diag(np.full(size - l, row[l]), l) for l in range(size))
+    return float(np.linalg.norm(c_k, 2)) * _COEFF_SLACK
 
 
 def _asymptotic_tail(alpha: float, spec: JordanSpec, ctxs, t_max: float) -> float:
     """Bound on integral_{t_max}^inf tau^(a-1) ||E_{a,a}(tau^a A)|| dtau,
     the smallest over expansion orders N = 1, 2, ... up to the first order
-    that tightens it by less than _MIN_ORDER_GAIN (see module docstring)."""
+    that tightens it by less than _MIN_ORDER_GAIN (see module docstring).
+
+    With a_k the largest over the blocks of ||C_k|| (k <= N) and of the
+    remainder constant B_N (k = N + 1), ||E_{a,a}(tau^a J)|| <= sum_k a_k
+    tau^(-a k) for tau >= t0.  Order N adds only C_N and B_N; the path
+    masses I_N of every block come in closed form, one ``path_mass_bound``
+    call per order."""
     best = math.inf
+    turns = [ctx.theta / alpha for ctx in ctxs]
+    sizes = [size for _, size in spec.blocks]
+    combined: dict[int, float] = {}
     for n in itertools.count(1):
-        combined: dict[int, float] = {}
-        for ctx, (_, size) in zip(ctxs, spec.blocks):
-            i_n = sum(kappa_moment(alpha, ctx.theta, n))  # value + err
-            for k, a_k in _tail_coefficients(ctx, size, n, i_n).items():
-                combined[k] = max(combined.get(k, 0.0), a_k)
+        if n >= 2:
+            combined[n] = max(0.0, *(_coefficient_norm(ctx, size, n)
+                                     for ctx, size in zip(ctxs, sizes)))
+        masses = np.exp(path_mass_bound(alpha, complex(alpha), turns, [n])[:, 0])
+        remainder = max(0.0, *(sum(expansion_remainder(ctx, n, l, i_n) / math.factorial(l)
+                                   for l in range(size)) * _COEFF_SLACK
+                               for ctx, size, i_n in zip(ctxs, sizes, masses.tolist())))
         bound = sum(a_k * t_max ** (-alpha * (k - 1)) / (alpha * (k - 1))
-                    for k, a_k in combined.items())
+                    for k, a_k in [*combined.items(), (n + 1, remainder)])
         if not bound < (1.0 - _MIN_ORDER_GAIN) * best:  # NaN stops too
             best = min(best, bound)
             break
@@ -360,8 +385,8 @@ def integral_check(alpha: float, a, t_max: float = 200.0) -> IntegralReport:
     rest is covered by the closed-form asymptotic tail bound (the
     expansion order is chosen to make it smallest, and order 1 is the
     Lemma 4 envelope tail), valid once t_max exceeds every block threshold t0.
-    The numeric part runs at ``_INTEGRAL_QUAD``, the tail's path masses at
-    ``bounds._CERT_QUAD``.
+    The numeric part runs at ``_INTEGRAL_QUAD``; the tail takes no
+    quadrature.
     """
     require_finite("t_max", t_max)
     spec, report, ctxs = _exterior_setup(alpha, a)

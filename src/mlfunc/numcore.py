@@ -100,10 +100,11 @@ def require_finite(name: str, value) -> None:
         raise DomainError(f"argument {name} must be finite, got {value!r}")
 
 
-def require_grid(name: str, value) -> np.ndarray:
-    """``value`` as a float array; raise DomainError naming the argument
-    unless it is one finite number or a nonempty 1-D array of them."""
-    arr = np.asarray(value, dtype=float)
+def require_grid(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; raise DomainError naming the
+    argument unless it is one finite number or a nonempty 1-D array of
+    them."""
+    arr = np.asarray(value, dtype=dtype)
     if arr.ndim > 1 or not arr.size:
         raise DomainError(f"argument {name} must be a number or a nonempty "
                           f"1-D array, got shape {arr.shape}")

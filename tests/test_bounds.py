@@ -20,7 +20,6 @@ from mlfunc.bounds import (
     expansion_coefficient,
     expansion_remainder,
     kappa_integrals,
-    kappa_moment,
     lemma2_constants,
     lemma3_limit_check,
     lemma4_constants,
@@ -122,7 +121,9 @@ def test_expansion_remainder_bounds_the_true_remainder(alpha, lam, l_max):
     # (1/l!) d^l E_{a,a}(lam t^a) minus the explicit terms of order <= n must
     # stay within (1/l!) expansion_remainder / t^(a(n+1)) for every t >= t0
     ctx = sector_context(alpha, lam)
-    masses = {n: sum(kappa_moment(alpha, ctx.theta, n)) for n in range(1, 5)}
+    log_masses = contour.path_mass_bound(alpha, complex(alpha), [ctx.theta / alpha],
+                                         np.arange(1, 5))[0]
+    masses = {n: math.exp(log_masses[n - 1]) for n in range(1, 5)}
     p = MLParams(alpha, complex(alpha))
     for t in np.geomspace(ctx.t0, 50.0 * ctx.t0, 5):
         for l in range(l_max + 1):
@@ -143,11 +144,25 @@ def test_expansion_first_order_is_lemma4_m_hat():
         ctx = sector_context(alpha, lam)
         i1 = kappa_integrals(alpha, ctx.theta).i1
         m_hat = lemma4_constants(ctx, 3).m_hat_l
-        assert kappa_moment(alpha, ctx.theta, 1)[0] == i1
         for l in range(4):
             assert expansion_remainder(ctx, 1, l, i1) == m_hat[l]
         # the order-1 term vanishes because 1/Gamma(0) = 0
         assert expansion_coefficient(alpha, lam, 1, 0) == 0
+
+
+@pytest.mark.parametrize("alpha, lam", [
+    (0.5, -1.0),                          # criteria 6 and 7
+    (0.6, -1.0),                          # lemma2-iii
+    (0.4, cmath.exp(0.9j * math.pi)),     # lemma2-iii
+])
+def test_closed_form_path_mass_bounds_the_quadrature_mass(alpha, lam):
+    # the closed-form I_1 (rays extended to [0, inf) plus the unit arc) is an
+    # upper bound on the paper's I1, which kappa_integrals integrates
+    ctx = sector_context(alpha, lam)
+    kap = kappa_integrals(alpha, ctx.theta)
+    closed = math.exp(contour.path_mass_bound(
+        alpha, complex(alpha), [ctx.theta / alpha], [1])[0, 0])
+    assert closed >= kap.i1 + kap.i1_err
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, complex(0.7, 0.4)])

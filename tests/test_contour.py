@@ -54,6 +54,17 @@ def test_classify_region_sides():
     assert classify_region(spec, complex(0.2, 0.1)) is RegionClass.G_MINUS
 
 
+def test_classify_region_takes_an_array_in_one_call():
+    # one class per entry, each the scalar call's
+    spec = ContourSpec(0.6, 0.45 * math.pi, 1.0)
+    on_ray = 2.0 * cmath.exp(1j * spec.theta)
+    zs = np.array([-5.0, 3.0, complex(0.2, 0.1), on_ray, on_ray * cmath.exp(0.3j)])
+    classes = classify_region(spec, zs)
+    assert classes == tuple(classify_region(spec, z) for z in zs)
+    assert classes[:4] == (RegionClass.G_MINUS, RegionClass.G_PLUS, RegionClass.G_MINUS,
+                           RegionClass.NEAR_CONTOUR)
+
+
 def test_classify_region_near_path():
     spec = _spec(0.6)
     on_ray = 2.0 * cmath.exp(1j * spec.theta)

@@ -180,6 +180,38 @@ def test_array_ml_matrix_stacks_the_transformed_blocks():
     assert ml_matrix(p, spec, 2.0).shape == (3, 3)
 
 
+def test_ml_matrix_makes_one_path_integral_for_every_block(monkeypatch):
+    # the two blocks' path entries share one cauchy_integral call per time,
+    # and every entry lies within both bars of the per-block call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return cauchy_integral(*args, **kwargs)
+
+    cauchy_integral = contour_module.cauchy_integral
+    monkeypatch.setattr(contour_module, "cauchy_integral", counted)
+    p = MLParams(0.7, 1.0)
+    blocks = ((-2.0, 3), (cmath.exp(0.8j * math.pi), 2))
+    spec = JordanSpec(blocks=blocks)
+    lams = np.array([lam for lam, size in blocks for _ in range(size)])
+    orders = np.array([j for _, size in blocks for j in range(size)])
+    for t in (2.31, 8.11):
+        calls.clear()
+        m = ml_matrix(p, spec, t)
+        assert len(calls) == 1 and len(calls[0]) == 5   # all five entries on the path
+        whole = evaluate(p, lams, t, orders)
+        at = 0
+        for lam, size in blocks:
+            block = ml_jordan_block(p, lam, size, t)
+            alone = evaluate(p, lam, t, np.arange(size))
+            for j in range(size):
+                bar = (whole.err_estimate[at + j] + alone.err_estimate[j]) / math.factorial(j)
+                assert np.all(np.abs(np.diagonal(m[at:at + size, at:at + size], j)
+                                     - block[0, j]) <= bar)
+            at += size
+
+
 @pytest.mark.parametrize("t, message", [
     ([], "argument t must be a number or a nonempty 1-D array"),
     ([[1.0, 2.0]], "argument t must be a number or a nonempty 1-D array"),

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlfunc import series as series_module
-from mlfunc.contour import admissible_specs
+from mlfunc.contour import admissible_specs, ml_contour
 from mlfunc.numcore import DomainError, recip_gamma
 from mlfunc.series import (
     EvalControls,
@@ -240,6 +240,19 @@ def test_router_error_bar_covers_the_oracle(alpha, beta_kind, frac, phi, t, l):
     assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
 
 
+@pytest.mark.parametrize("alpha, lam, t", [(0.5, 5.4e-323, 2.0), (1.0, 2.47e-322, 1.0)])
+def test_bars_cover_rounding_below_the_normal_range(alpha, lam, t):
+    # two draws of the property above: below 2**-1022 a rounding is absolute,
+    # up to 2**-1075, and the relative bars underflowed to 0 (the first missed
+    # by one grid step); the extended sum's magnitude test took log10 of an
+    # mpf that is 0.0 as a double
+    p = MLParams(alpha, -2.0 * alpha)
+    res = evaluate(p, lam, t, 0)
+    oracle = ml_series_deriv(p, lam, t, 0, extended=True)
+    assert res.err_estimate > 0.0 and oracle.err_estimate > 0.0
+    assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+
+
 @pytest.mark.parametrize("alpha,beta,z", [(1.0, -2.0, 1.0), (0.5, -1.0, 1.0),
                                           (0.87, -1.74, 2.0), (0.1, -0.3, 1.0)])
 def test_gamma_pole_terms_do_not_end_the_sum(alpha, beta, z):
@@ -267,6 +280,19 @@ def test_pole_term_takes_the_exact_offset_of_its_argument():
     assert abs(plain.value - oracle.value) <= plain.err_estimate + oracle.err_estimate
     assert abs(plain.value - oracle.value) <= 1e-12 * abs(oracle.value)
     assert evaluate(p, z, 1.0, 3).method == "series"
+
+
+def test_near_pole_term_is_priced_from_its_exact_offset():
+    # alpha*1 + beta = -7 alpha = -4.0041 lies near the pole at -4, and the
+    # double sum alpha + beta rounds it by 3.3e-16; 1/Gamma's slope 4! there
+    # turned that into 8e-14 of the leading term, 3.3x the plain series' bar,
+    # until the term took 1/Gamma by reflection from the exact offset
+    alpha = 0.5720164021705664
+    p = MLParams(alpha, -8.0 * alpha)
+    res = evaluate(p, 1e-3, 1.0, 1)
+    oracle = ml_series_deriv(p, 1e-3, 1.0, 1, extended=True)
+    assert res.method == "series"
+    assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
 
 
 def test_exact_pole_terms_stay_zero_at_any_order():
@@ -421,28 +447,58 @@ def test_series_rejects_non_finite_input(call, message):
 
 @given(st.sampled_from([0.35, 0.5, 0.6, 0.8]),
        st.sampled_from([1.0, 0.6, 1.5, complex(0.7, 0.4)]),
-       st.floats(min_value=0.05, max_value=8.0),
-       st.floats(min_value=-math.pi, max_value=math.pi),
+       st.lists(st.tuples(st.floats(min_value=0.05, max_value=8.0),
+                          st.floats(min_value=-math.pi, max_value=math.pi)),
+                min_size=1, max_size=3),
        st.lists(st.tuples(st.floats(min_value=0.0, max_value=40.0),
-                          st.integers(min_value=0, max_value=3)),
+                          st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=0, max_value=2)),
                 min_size=1, max_size=12))
 @settings(max_examples=15, deadline=None)
-def test_array_evaluate_matches_scalar_calls(alpha, beta, r, phi, rows):
-    # every (t, l) row takes its scalar call's route and agrees with that
-    # call within both error estimates
-    lam = r * cmath.exp(1j * phi)
-    ts = np.array([t for t, _ in rows])
-    ls = np.array([l for _, l in rows])
+def test_array_evaluate_matches_scalar_calls(alpha, beta, lams, rows):
+    # every (lambda, t, l) row takes its scalar call's route and agrees with
+    # that call within both error estimates; a plain-series row at a real
+    # beta is the scalar loop's result, bit for bit
+    pool = [r * cmath.exp(1j * phi) for r, phi in lams]
+    lam = np.array([pool[i % len(pool)] for _, _, i in rows])
+    ts = np.array([t for t, _, _ in rows])
+    ls = np.array([l for _, l, _ in rows])
     # keep the explicit G+ term inside the double range
-    assume((r * ts.max() ** alpha) ** (1.0 / alpha) < 300.0)
+    assume(((np.abs(lam) * ts ** alpha).max()) ** (1.0 / alpha) < 300.0)
     p = MLParams(alpha, beta)
     res = evaluate(p, lam, ts, ls)
     assert res.value.shape == res.err_estimate.shape == ts.shape
     assert len(res.method) == len(res.terms_or_panels) == len(ts)
-    for t, l, value, err, method in zip(ts, ls, res.value, res.err_estimate, res.method):
-        one = evaluate(p, lam, float(t), int(l))
+    for lj, t, l, value, err, method, work in zip(lam, ts, ls, res.value, res.err_estimate,
+                                                  res.method, res.terms_or_panels):
+        one = evaluate(p, complex(lj), float(t), int(l))
         assert method == one.method
         assert abs(value - one.value) <= err + one.err_estimate
+        if method == "series" and isinstance(beta, float):
+            assert (value, err, work) == (one.value, one.err_estimate, one.terms_or_panels)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.7, 1.0), (0.5720164021705664, -8 * 0.5720164021705664),
+                                         (0.5, -2.5), (1.0, -3.0), (0.6, complex(0.7, 0.4))])
+def test_array_plain_pass_is_the_scalar_loop(alpha, beta):
+    # the array pass sums every in-band entry over one coefficient table;
+    # at a real beta (negative ones too, with their reflected terms) each
+    # entry is the scalar loop's value, bar and term count, bit for bit, and
+    # a complex beta agrees within both bars
+    p = MLParams(alpha, beta)
+    lam = np.repeat([-2.0, 0.5 + 1.5j, 3.0, -0.7j, 1e-3], 3)
+    ts = np.repeat([0.3, 1.0, 0.2, 2.0, 1.0], 3)
+    ls = np.tile([0, 1, 2], 5)
+    res = evaluate(p, lam, ts, ls)
+    assert "series" in res.method
+    for lj, t, l, value, err, method, work in zip(lam, ts, ls, res.value, res.err_estimate,
+                                                  res.method, res.terms_or_panels):
+        one = evaluate(p, complex(lj), float(t), int(l))
+        assert method == one.method
+        if method == "series" and isinstance(beta, float):
+            assert (value, err, work) == (one.value, one.err_estimate, one.terms_or_panels)
+        else:
+            assert abs(value - one.value) <= err + one.err_estimate
 
 
 def test_array_evaluate_broadcasts_one_time_against_orders():
@@ -524,6 +580,20 @@ def test_expansion_route_refuses_a_tolerance_out_of_its_reach():
     res = ml_eval(p, -30.0, EvalControls(tol=1e-15))
     assert res.method == "contour"
     assert res.value.real == pytest.approx(sp.erfcx(30.0), rel=1e-9)
+
+
+def test_expansion_keeps_a_g_plus_entry_whose_explicit_term_sets_the_bar():
+    # an eval-mix draw: the explicit G+ term's own rounding bar (about 2.5e-11
+    # relative) exceeds tol, and the path route would carry it as well, so
+    # only the expansion's own bar is held to tol
+    alpha, beta, z = 0.4375, 1.5, complex(26.558530228347394, 20.977759044428975)
+    p = MLParams(alpha, beta)
+    res = ml_eval(p, z)
+    assert res.method == "asymptotic"
+    assert res.err_estimate > 1e-12 * abs(res.value)
+    second = list(admissible_specs(alpha, z))[1]
+    path = ml_contour(p, z, spec=second)
+    assert abs(res.value - path.value) <= res.err_estimate + path.err_estimate
 
 
 def test_array_evaluate_mixes_series_expansion_and_path_entries():
