@@ -706,8 +706,9 @@ def lemma3_limit_check(alpha: float, lam: complex,
     v = (u-s)^a removes the endpoint singularity; g must accept ndarray
     input.  Per-u errors |LHS(u) - RHS| are reported together with a
     noise-aware decreasing flag (error bars at the default presets set the
-    slack).  The E_{a,a} values at a panel's nodes come from the ratio
-    series where a plain sum keeps its digits, and else from one batched
+    slack).  The E_{a,a} values at the nodes of one integrand call (a
+    panel, or both halves of a bisected one) come from the ratio series
+    where a plain sum keeps its digits, and else from one batched
     ``ml_contour_deriv`` call.
     """
     if not (0.0 < alpha < 1.0):
@@ -760,7 +761,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
         p1 = MLParams(alpha, 1.0)
 
         def eaa_vec(v: np.ndarray) -> np.ndarray:
-            # one batched path integral over the panel's nodes, v > 0
+            # one batched path integral over the call's nodes, v > 0
             return ml_contour_deriv(paa, lam, v ** inv_alpha, 0).value
 
         def e1_val(z: complex) -> complex:

@@ -175,8 +175,10 @@ def contour_path(spec: ContourSpec) -> list[PathSegment]:
 
 def integrate_gamma(spec: ContourSpec, f, controls: QuadratureControls,
                     arclength: bool = False):
-    """Integral of f over gamma: (value, err, panels), orientation included;
-    ``f`` and ``arclength`` are as ``integrate_path`` takes them."""
+    """Integral of f over gamma: (value, err, calls), orientation included,
+    where ``calls`` counts the calls of ``f`` (one per seed panel and one
+    per bisection); ``f`` and ``arclength`` are as ``integrate_path`` takes
+    them."""
     panels = 0
 
     def counted(zeta: np.ndarray) -> np.ndarray:
@@ -212,7 +214,8 @@ def cauchy_integral(spec: ContourSpec, p: MLParams, z,
         1/(2 alpha pi i) * integral over gamma of
             exp(zeta**(1/alpha)) zeta**((1-beta)/alpha) * l! / (zeta - z)**(l+1)
 
-    returned as (value, err_estimate, panels).  ``z`` is one argument or a
+    returned as (value, err_estimate, calls), ``calls`` counting the kernel
+    evaluations of ``integrate_gamma``.  ``z`` is one argument or a
     1-D array of them, and ``order`` one order or a 1-D array of them
     matched to ``z`` (a single z is shared by every order).  Each row is
     then one (z, l) pair; all rows share one adaptive partition of the path
@@ -350,12 +353,12 @@ def ml_contour_deriv(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarr
     array of them, and ``l`` one order or a 1-D array of them; the three
     broadcast together, and entry j is the l_j-th derivative at lambda_j,
     t_j.  An array gives an EvalResult whose value and err_estimate are
-    arrays, from one batched path integral on one spec (its panels are the
-    shared partition).  The default spec is the first one
-    ``admissible_specs`` yields for all the arguments lambda t**alpha
-    together; only when no path clears them all are the entries grouped by
-    the first path that clears each one, one integral per group, and the
-    panels add up.
+    arrays, from one batched path integral on one spec (its work count is
+    the integrand calls on the shared partition).  The default spec is the
+    first one ``admissible_specs`` yields for all the arguments
+    lambda t**alpha together; only when no path clears them all are the
+    entries grouped by the first path that clears each one, one integral
+    per group, and the counts add up.
     """
     l = require_orders("l", l)
     lam = require_grid("lam", lam, complex)
@@ -411,7 +414,7 @@ def _grouped_path_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray,
                         z: np.ndarray) -> EvalResult:
     """``_path_route`` when no one path clears every argument in ``z``: the
     entries are grouped by the first path that clears each alone, and each
-    group takes one batched integral on its path.  The panels add up."""
+    group takes one batched integral on its path.  The counts add up."""
     firsts = [next(admissible_specs(p.alpha, zj), None) for zj in z.tolist()]
     if None in firsts:
         raise EvaluationError("no admissible path separates the argument")

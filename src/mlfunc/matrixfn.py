@@ -328,9 +328,9 @@ _COEFF_SLACK = 1.0 + 1e-10
 # this share; it always stops, since I_N grows like Gamma(alpha N)
 _MIN_ORDER_GAIN = 1e-3
 # integral_check's preset, for the [0, T] integral and its ml_matrix nodes;
-# with the nodes batched per panel, DEFAULT_CONTROLS at the nodes makes the
-# check 1.1-1.6x slower (one block at alpha = 0.5, two at 0.7; T = 200),
-# numeric within 2.2e-16
+# with the nodes batched per integrand call, DEFAULT_CONTROLS at the nodes
+# makes the check 1.4-1.5x slower (one block at alpha = 0.5, two at 0.7;
+# T = 200), numeric within 1.4e-16
 _INTEGRAL_QUAD = QuadratureControls(rel_tol=1e-8, abs_tol=1e-12, max_panels=512)
 
 

@@ -8,7 +8,8 @@ This module collects the low-level numerics everything else is built on:
   reciprocal is the primary form so the poles of Gamma map to exact zeros.
 * ``integrate_path``             -- adaptive Gauss-Kronrod (7,15) panels over
   parametrized paths in the complex plane, with truncation of infinite ray
-  tails once the integrand has dropped 18 orders below its peak.
+  tails once the integrand has dropped 18 orders below its peak; both
+  halves of a bisected panel are evaluated in one integrand call.
   The integrand may return n rows of values on the same nodes; all rows
   then share one adaptive partition, and each row keeps its own error
   estimate, stopping target and tail threshold.
@@ -184,9 +185,10 @@ class PathSegment:
     """One smooth piece of an integration path.
 
     ``point`` maps parameter values (ndarray) to points in the plane and
-    ``velocity`` to d(point)/ds.  ``s0 > s1`` is allowed and integrates the
-    piece in reverse.  ``s1 = inf`` marks a ray whose tail is truncated by
-    the quadrature engine.
+    ``velocity`` to d(point)/ds, or to one number where that is constant.
+    ``s0 > s1`` is allowed and integrates the piece in reverse.
+    ``s1 = inf`` marks a ray whose tail is truncated by the quadrature
+    engine.
     """
 
     point: VectorFun
@@ -205,7 +207,7 @@ def line_segment(z0: complex, z1: complex) -> PathSegment:
     d = z1 - z0
     return PathSegment(
         point=lambda s: z0 + s * d,
-        velocity=lambda s: np.full_like(s, d, dtype=complex),
+        velocity=lambda s: d,
         s0=0.0,
         s1=1.0,
     )
@@ -227,7 +229,7 @@ def radial_ray(angle: float, r0: float, r1: float = math.inf) -> PathSegment:
     direction = cmath.exp(1j * angle)
     return PathSegment(
         point=lambda s: s * direction,
-        velocity=lambda s: np.full_like(s, direction, dtype=complex),
+        velocity=lambda s: direction,
         s0=float(r0),
         s1=float(r1),
     )
@@ -271,7 +273,8 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[[1, 3, 5]] = _WG[:3]
 _W_GAUSS[7] = _WG[3]
 _W_GAUSS[[9, 11, 13]] = _WG[2::-1]
-_W_KG = np.stack((_W_KRONROD, _W_GAUSS))
+# Kronrod and Gauss weights against (integrand, panel, node) values
+_W_KG3 = np.stack((_W_KRONROD, _W_GAUSS))[:, None, None, :]
 
 
 def _panel_error(err: float, resasc: float, resabs: float) -> float:
@@ -281,47 +284,77 @@ def _panel_error(err: float, resasc: float, resabs: float) -> float:
     return max(err, 50.0 * _EPS * resabs)
 
 
-def _eval_panel(f, seg: PathSegment, a: float, b: float, arclength: bool):
-    """Apply the (7,15) pair on [a, b] of one segment to every integrand.
+def _eval_panel(f, seg: PathSegment, edges: tuple, arclength: bool):
+    """Apply the (7,15) pair to every integrand on one panel [a, b] of one
+    segment, ``edges = (a, b)``, or on the two halves [a, m] and [m, b] of a
+    bisected one, ``edges = (a, m, b)``, with one call of ``f`` on all their
+    nodes.
 
-    ``f`` returns one value per node or an (n, 15) array, one row per
-    integrand.  Returns (row, peak, single): ``row`` packs the Kronrod
-    values (as interleaved real/imaginary floats), the error magnitudes and
-    the |f| sums (resabs) of all n integrands into one float vector of
-    length 4n, ``peak`` is the largest |weighted integrand| of each, and
-    ``single`` tells whether ``f`` returned a 1-D array.
+    ``f`` returns one value per node or an (n, nodes) array, one row per
+    integrand.  Returns (rows, magnitude, single): row i of ``rows`` packs
+    panel i's Kronrod values (as interleaved real/imaginary floats), error
+    magnitudes and |f| sums (resabs) of all n integrands into one float
+    vector of length 4n, ``magnitude`` holds the |weighted integrand| of
+    every integrand (rows) at every node (columns), and ``single`` tells
+    whether ``f`` returned a 1-D array.  Each half's row is the row of a
+    call on that half alone, bit for bit.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    s = c + h * _NODES
+    if len(edges) == 2:
+        a, b = edges
+        h = 0.5 * (b - a)
+        width = b - a
+        s = 0.5 * (a + b) + h * _NODES
+    else:
+        a, m, b = edges
+        # each half's node and scale arithmetic, as a call on it alone does it
+        h = np.array([0.5 * (m - a), 0.5 * (b - m)])
+        width = np.array([[m - a], [b - m]])
+        s = np.concatenate((0.5 * (a + m) + h[0] * _NODES, 0.5 * (m + b) + h[1] * _NODES))
     weight = seg.velocity(s)
     if arclength:
         weight = np.abs(weight)
-    y = np.asarray(f(seg.point(s)), dtype=complex) * weight
-    if not np.isfinite(y).all():
+    fz = np.asarray(f(seg.point(s)), dtype=complex)
+    single = fz.ndim < 2
+    if single:  # one value per node, or one for all of them
+        fz = fz.reshape(1, -1)
+    elif fz.ndim != 2:
+        raise DomainError("integrand must return one value per node or an "
+                          "(n, nodes) array")
+    # buf[0] holds the weighted integrand and buf[1] its deviation from the
+    # mean of each (integrand, panel) pair, so that one pass takes the
+    # |.| sums of both
+    n, panels = len(fz), len(edges) - 1
+    buf = np.empty((2, n, panels * 15), dtype=complex)
+    np.multiply(fz, weight, out=buf[0])
+    finite = np.isfinite(buf[0])
+    if not finite.all():
         # a non-finite value poisons every sum it enters, and bisection
-        # never removes it
-        za, zb = seg.point(np.array([a, b])).tolist()
+        # never removes it; name the first panel that holds one
+        i = int(finite.reshape(n, panels, 15).all(axis=(0, 2)).argmin())
+        za, zb = seg.point(np.array(edges[i:i + 2])).tolist()
         raise QuadratureError(
             f"integrand is not finite on the path panel from {za:.6g} to {zb:.6g}",
             value=0j, err_estimate=math.inf)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
-    elif y.ndim != 2:
-        raise DomainError("integrand must return one value per node or an "
-                          "(n, nodes) array")
-    # Kronrod and embedded Gauss sums in one (2, n) reduction
-    kg = h * np.add.reduce(y * _W_KG[:, None, :], axis=2)
-    k_val = kg[0]
-    ah = abs(h)
-    abs_y = np.abs(y)
-    resabs = ah * np.add.reduce(_W_KRONROD * abs_y, axis=1)
-    mean = k_val / (b - a)
-    resasc = ah * np.add.reduce(_W_KRONROD * np.abs(y - mean[:, None]), axis=1)
+    y = buf.reshape(2, n, panels, 15)
+    y0 = y[0]
+    # Kronrod and embedded Gauss sums in one (2, n, panels) reduction
+    kg = h * np.add.reduce(y0 * _W_KG3, axis=3)
+    np.subtract(y0, kg[0, ..., None] / width, out=y[1])
+    magnitude = np.abs(buf)
+    sums = abs(h) * np.add.reduce(_W_KRONROD * magnitude.reshape(y.shape), axis=3)
+    k_val, g_val = kg.reshape(2, -1).tolist()
+    resabs, resasc = sums.reshape(2, -1).tolist()
     err = [_panel_error(abs(k - g), asc, rab) for k, g, asc, rab
-           in zip(k_val.tolist(), kg[1].tolist(), resasc.tolist(), resabs.tolist())]
-    return np.concatenate((k_val.view(float), err, resabs)), abs_y.max(axis=1), single
+           in zip(k_val, g_val, resasc, resabs)]
+    packed = np.concatenate((kg[0].ravel().view(float), err, resabs))
+    if panels == 1:
+        return packed[None, :], magnitude[0], single
+    # each quantity is laid out integrand by integrand, both halves side by
+    # side; a row takes one half's share of each
+    k_part, err_part, abs_part = np.split(packed, [4 * n, 6 * n])
+    rows = np.concatenate((k_part.reshape(n, 2, 2).swapaxes(0, 1).reshape(2, 2 * n),
+                           err_part.reshape(n, 2).T, abs_part.reshape(n, 2).T), axis=1)
+    return rows, magnitude[0], single
 
 
 _MAX_TAIL_BLOCKS = 64
@@ -339,16 +372,16 @@ def _seed_panels(f, seg: PathSegment, arclength: bool):
     becomes a panel.
     """
     if math.isfinite(seg.s1):
-        return [((seg, seg.s0, seg.s1), _eval_panel(f, seg, seg.s0, seg.s1, arclength))]
+        return [((seg, seg.s0, seg.s1), _eval_panel(f, seg, (seg.s0, seg.s1), arclength))]
     panels = []
     start = seg.s0
     length = max(1.0, abs(seg.s0))
     peak = 0.0
     for _ in range(_MAX_TAIL_BLOCKS):
         end = start + length
-        evaluated = _eval_panel(f, seg, start, end, arclength)
+        evaluated = _eval_panel(f, seg, (start, end), arclength)
         panels.append(((seg, start, end), evaluated))
-        block_peak = evaluated[1]
+        block_peak = evaluated[1].max(axis=1)
         peak = np.maximum(peak, block_peak)
         if len(panels) >= 2 and np.all(block_peak <= _TRUNCATION_DROP * peak):
             return panels
@@ -381,9 +414,11 @@ def integrate_path(
     Gauss-Kronrod error sum and has converged once that sum is below
     max(abs_tol, rel_tol*|total_j|, 100*eps*sum|f_j|); the loop ends when
     every integrand has converged, and each step bisects the panel with the
-    largest err_ij / target_j over the integrands still open.  A ray tail
-    is cut once every integrand has dropped below 1e-18 times its own
-    peak.  ``max_panels`` counts shared panels.
+    largest err_ij / target_j over the integrands still open, evaluating
+    its two halves with one call of ``f`` on their 30 nodes (each seed
+    panel takes a 15-node call of its own).  A ray tail is cut once every
+    integrand has dropped below 1e-18 times its own peak.  ``max_panels``
+    counts shared panels, not calls.
 
     Returns ``(value, error_estimate)``: scalars for a 1-D integrand, arrays
     of length n otherwise.  Raises :class:`QuadratureError` (carrying the
@@ -397,8 +432,8 @@ def integrate_path(
 
     seeds = [panel for seg in segments
              for panel in _seed_panels(f, seg, arclength)]
-    _, (_, peak, single) = seeds[0]
-    n = len(peak)
+    _, (packed, _, single) = seeds[0]
+    n = packed.shape[1] // 4
     # table row r is panel r's packed _eval_panel row; acc holds the running
     # sums over the live rows in the same layout: totals, errors, resabs.
     # A bisected panel keeps its row with the errors set to -inf, so ties
@@ -406,7 +441,7 @@ def integrate_path(
     where = [panel for panel, _ in seeds]
     rows = len(where)
     table = np.empty((max(64, 2 * rows), 4 * n))
-    table[:rows] = [row for _, (row, _, _) in seeds]
+    table[:rows] = [packed[0] for _, (packed, _, _) in seeds]
     acc = np.add.accumulate(table[:rows])[-1]  # summed in panel order
     total = acc[:2 * n].view(complex)
     err_sum = acc[2 * n:3 * n]
@@ -445,8 +480,8 @@ def integrate_path(
             table = np.concatenate((table, np.empty_like(table)))
             errs = table[:, 2 * n:3 * n]
         mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            row = _eval_panel(f, seg, lo, hi, arclength)[0]
+        halves = _eval_panel(f, seg, (a, mid, b), arclength)[0]
+        for row, (lo, hi) in zip(halves, ((a, mid), (mid, b))):
             table[rows] = row
             acc += row
             where.append((seg, lo, hi))

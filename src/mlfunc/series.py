@@ -85,6 +85,11 @@ _MAX_TERMS = 10000  # term budget of the plain double-precision pass
 # is absolute; the plain pass charges each term 4 grid steps, since its
 # relative bar underflows with the terms
 _SUBNORMAL_FLOOR = 2.0 ** -1072
+_NORMAL_MIN = 2.0 ** -1022
+# a subnormal w is off by up to 2**-1075 in each part, |dw| <= 2**-1074.5,
+# which term l + 1 passes on times its slope perm_{l+1} t^(alpha l) /
+# Gamma(alpha (l + 1) + beta); twice that covers the charge's own rounding
+_W_ROUNDING = 2.0 ** -1073
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -125,8 +130,10 @@ class EvalResult:
     value: complex
     err_estimate: float
     # "series" | "asymptotic" (expansion at infinity; counts its terms) |
-    # "contour" (counts panels) | "compensated-series" (extended mode: only
-    # at alpha = 1, for sub-resolution imaginary parts, or when forced)
+    # "contour" (counts integrand calls: one per seed panel and one per
+    # bisection, which evaluates both halves) | "compensated-series"
+    # (extended mode: only at alpha = 1, for sub-resolution imaginary parts,
+    # or when forced)
     method: str
     terms_or_panels: int
 
@@ -199,11 +206,12 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     Terms are perm(k) * t^(alpha l) * w^(k-l) * recip_gamma(alpha k + beta)
     with w = lambda * t**alpha; l = 0 reduces to the plain series in w.
     The sum stops once the term and its geometric tail bound both drop
-    below max(tol * max(1, |partial sum|), 100 eps * sum |term|): the
-    second scale is the rounding floor the error estimate already carries,
-    so a cancelling sum stops there instead of running into overflow.  The
-    estimate adds _SUBNORMAL_FLOOR per term for terms below the normal
-    range.
+    below max(tol * |partial sum|, 100 eps * sum |term|): the first scale
+    is the one ``_accepted_plain`` holds the bar to, and the second the
+    rounding floor the error estimate already carries, so a cancelling sum
+    stops there instead of running into overflow.  The estimate adds
+    _SUBNORMAL_FLOOR per term for terms below the normal range, and for a
+    subnormal w the rounding of w itself, which term l + 1 passes on.
     A zero term at a pole of Gamma is not convergence: unless w = 0, the
     sum runs at least two terms past the last pole.  For a real negative
     beta every term whose argument alpha*k + beta lies below 1/2 takes
@@ -216,6 +224,12 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     poles = _pole_terms(alpha, beta, l, _MAX_TERMS) if w != 0 else []
     first_stop = max(l + 2, poles[-1] + 2) if poles else l + 2
     k_reflect = _reflected_until(alpha, beta) if beta.real < 0.0 else 0
+    w_err = 0.0
+    if 0.0 < abs(w) < _NORMAL_MIN:
+        k = l + 1
+        recip = _reflected_term(1.0, alpha, beta.real, k) if k < k_reflect \
+            else recip_gamma(alpha * k + beta)
+        w_err = abs(math.factorial(k) * t_alpha_l * recip) * _W_ROUNDING
     s_re = c_re = s_im = c_im = 0.0
     perm = float(math.factorial(l))
     pw = complex(t_alpha_l)  # perm * pw accumulates the non-gamma factor
@@ -248,13 +262,13 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
         ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
         prev_mag = mag if mag > 0.0 else prev_mag
         value = complex(s_re + c_re, s_im + c_im)
-        target = max(tol * max(1.0, abs(value)), 100.0 * _EPS * abs_sum)
+        target = max(tol * abs(value), 100.0 * _EPS * abs_sum)
         if ratio < 1.0:
             tail = mag * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
             if mag <= target and tail <= target and k >= first_stop:
                 # per-term gamma rounding accumulates over the whole sum of
                 # magnitudes; this also covers the cancellation penalty
-                err = abs_sum * 100.0 * _EPS + tail + n * _SUBNORMAL_FLOOR
+                err = abs_sum * 100.0 * _EPS + tail + n * _SUBNORMAL_FLOOR + w_err
                 return value, err, n
         perm *= (k + 1.0) / (k + 1.0 - l)
         pw *= w
@@ -377,8 +391,7 @@ def _plain_sums(table, w: np.ndarray, t_alpha_l: np.ndarray, l: np.ndarray, tol:
     ratio = np.zeros_like(mags)
     np.divide(mags[:, 1:], mags[:, :-1], out=ratio[:, 1:])
     tail = mags * ratio / (1.0 - ratio)
-    target = np.maximum(tol * np.maximum(1.0, np.hypot(value.real, value.imag)),
-                        100.0 * _EPS * abs_sum)
+    target = np.maximum(tol * np.hypot(value.real, value.imag), 100.0 * _EPS * abs_sum)
     stop = (ratio < 1.0) & (mags <= target) & (tail <= target) & may_stop[l]
     at = stop.argmax(axis=1)
     stops = stop[rows, at]
@@ -386,6 +399,8 @@ def _plain_sums(table, w: np.ndarray, t_alpha_l: np.ndarray, l: np.ndarray, tol:
     # a term beyond the double range makes every later abs_sum inf or NaN
     total = abs_sum[rows, at]
     err = total * 100.0 * _EPS + tail[rows, at] + (at + 1) * _SUBNORMAL_FLOOR
+    sub = np.nonzero(np.hypot(w.real, w.imag) < _NORMAL_MIN)[0]  # w != 0 here
+    err[sub] += np.abs(perm[l[sub], 1] * t_alpha_l[sub] * recip[l[sub], 1]) * _W_ROUNDING
     return value[rows, at], err, at + 1, ~stops & np.isfinite(total)
 
 
@@ -481,8 +496,8 @@ def ml_series(p: MLParams, z: complex, tol: float = 1e-12) -> EvalResult:
     """Plain-mode series value of E_{alpha,beta}(z).
 
     The stopping rule requires both the current term and a geometric tail
-    bound to drop below tol (relative to max(1, |partial sum|)) or below the
-    rounding floor 100 eps * sum |term|.  The error estimate includes the
+    bound to drop below tol relative to |partial sum|, or below the rounding
+    floor 100 eps * sum |term|.  The error estimate includes the
     cancellation penalty (largest term) * eps.
     """
     require_finite("z", z)
@@ -589,8 +604,8 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
     entries that reach step 3 share one vectorized pass, and every entry
     bound for the path route goes into one ``ml_contour_deriv`` call.  The
     result holds arrays of values and error estimates and tuples of
-    per-entry routes and work counts (a path entry counts the panels of
-    the batch).
+    per-entry routes and work counts (a path entry counts the integrand
+    calls of the batch).
     """
     if _is_array(t) or _is_array(l) or _is_array(lam):
         return _evaluate_many(p, lam, t, l, controls or EvalControls())

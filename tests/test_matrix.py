@@ -212,6 +212,26 @@ def test_ml_matrix_makes_one_path_integral_for_every_block(monkeypatch):
             at += size
 
 
+def test_ml_matrix_at_small_time_takes_no_path_integral(monkeypatch):
+    # every entry at t = 0.1 has a value below 1, which the plain series now
+    # sums to tol relative to it; the l = 2 entry of the -2 block used to
+    # miss that by a hair and cost a path integral
+    def refuse(*args, **kwargs):
+        raise AssertionError("path integral")
+
+    monkeypatch.setattr(contour_module, "cauchy_integral", refuse)
+    p = MLParams(0.7, 1.0)
+    blocks = ((-2.0, 3), (cmath.exp(0.8j * math.pi), 2))
+    m = ml_matrix(p, JordanSpec(blocks=blocks), 0.1)
+    at = 0
+    for lam, size in blocks:
+        for j in range(size):
+            oracle = ml_series_deriv(p, lam, 0.1, j, extended=True).value / math.factorial(j)
+            got = np.diagonal(m[at:at + size, at:at + size], j)
+            assert got == pytest.approx(oracle, rel=1e-11)
+        at += size
+
+
 @pytest.mark.parametrize("t, message", [
     ([], "argument t must be a number or a nonempty 1-D array"),
     ([[1.0, 2.0]], "argument t must be a number or a nonempty 1-D array"),

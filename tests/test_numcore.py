@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlfunc.numcore import (
+    _NODES,
     DomainError,
     QuadratureControls,
     QuadratureError,
     circular_arc,
     cpow,
     integrate_path,
+    _eval_panel,
     line_segment,
     principal_arg,
     radial_ray,
@@ -193,6 +195,54 @@ def test_ray_evaluates_each_panel_once():
 
 def _decay_rows(z, rates):
     return np.exp(-np.outer(rates, z))
+
+
+@pytest.mark.parametrize("arclength", [False, True])
+@pytest.mark.parametrize("rates", [[1.0], [0.5, 1.0, 3.0]], ids=["1-row", "3-row"])
+@pytest.mark.parametrize("seg, a, b", [(radial_ray(0.4, 1.0), 1.0, 3.0),
+                                       (circular_arc(2.0, -2.0, 2.0), -1.5, 0.7)],
+                         ids=["ray", "arc"])
+def test_two_panel_call_gives_the_rows_of_two_one_panel_calls(seg, a, b, rates, arclength):
+    # a bisection evaluates both halves with one integrand call on their 30
+    # nodes; each half's row is the one-panel call's, bit for bit
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        rows = _decay_rows(z, np.array(rates))
+        return rows[0] if len(rates) == 1 else rows
+
+    mid = 0.5 * (a + b)
+    both, _, single = _eval_panel(f, seg, (a, mid, b), arclength)
+    low = _eval_panel(f, seg, (a, mid), arclength)[0]
+    high = _eval_panel(f, seg, (mid, b), arclength)[0]
+    assert calls == [30, 15, 15]
+    assert single == (len(rates) == 1)
+    assert both.shape == (2, 4 * len(rates))
+    assert both.tobytes() == np.concatenate((low, high)).tobytes()
+
+
+def test_bisections_evaluate_both_halves_in_one_call():
+    # the seed panel is one 15-node call; every later call carries the 30
+    # nodes of a bisected panel's two halves
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        return np.stack((np.exp(3.0 * z), 1.0 / (z + 0.05)))
+
+    val, _ = integrate_path(f, [line_segment(0.0, 1.0)])
+    assert val[1] == pytest.approx(math.log(21.0), rel=1e-12)
+    assert calls[0] == 15 and len(calls) > 3
+    assert set(calls[1:]) == {30}
+
+
+def test_non_finite_value_in_the_second_half_names_that_panel():
+    # the pole sits on a node of the half [0.5, 1], none of the seed's
+    pole = 0.75 + 0.25 * _NODES[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match=r"panel from 0\.5\+0j to 1\+0j"):
+            integrate_path(lambda z: 1.0 / (z - pole), [line_segment(0.0, 1.0)])
 
 
 def test_vector_integrand_matches_scalar_calls():

@@ -240,7 +240,11 @@ def test_router_error_bar_covers_the_oracle(alpha, beta_kind, frac, phi, t, l):
     assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
 
 
-@pytest.mark.parametrize("alpha, lam, t", [(0.5, 5.4e-323, 2.0), (1.0, 2.47e-322, 1.0)])
+@pytest.mark.parametrize("alpha, lam, t", [
+    (0.5, 5.4e-323, 2.0), (1.0, 2.47e-322, 1.0),
+    (0.8560491883071364, -1.406148714e-314, 3.5581411729241643),
+    (0.9803663880112947, 2.651734e-318 - 4.36972e-318j, 3.3769459735749057),
+    (0.9940818286483428, 5e-324 + 5e-324j, 3.084488888726503)])
 def test_bars_cover_rounding_below_the_normal_range(alpha, lam, t):
     # two draws of the property above: below 2**-1022 a rounding is absolute,
     # up to 2**-1075, and the relative bars underflowed to 0 (the first missed
@@ -251,6 +255,16 @@ def test_bars_cover_rounding_below_the_normal_range(alpha, lam, t):
     oracle = ml_series_deriv(p, lam, t, 0, extended=True)
     assert res.err_estimate > 0.0 and oracle.err_estimate > 0.0
     assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+    # at l >= 1 term l + 1 passes the absolute rounding of a subnormal
+    # w = lambda t**alpha on times its slope, and at beta = -l alpha, where
+    # term l sits on a pole of Gamma, that term is the value: the last three
+    # draws missed by up to 28x the bars, in the loop and the array pass alike
+    for l in (1, 2, 3):
+        for beta in (-2.0 * alpha, -3.0 * alpha):
+            p = MLParams(alpha, beta)
+            oracle = ml_series_deriv(p, lam, t, l, extended=True)
+            for res in (evaluate(p, lam, t, l), evaluate(p, np.array([lam]), t, l)):
+                assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
 
 
 @pytest.mark.parametrize("alpha,beta,z", [(1.0, -2.0, 1.0), (0.5, -1.0, 1.0),
@@ -309,6 +323,19 @@ def test_exact_pole_terms_stay_zero_at_any_order():
         assert abs(res.value - math.e) <= res.err_estimate
     res = ml_series(MLParams(0.5, -171.0), 1e-3)
     assert math.isfinite(abs(res.value)) and res.terms_or_panels > 342
+
+
+def test_plain_series_stops_at_tol_relative_to_its_value():
+    # E''(-2 * 0.1**0.7) at alpha = 0.7 is 0.033: a sum stopped at an absolute
+    # 1e-12 was 8.4e-13 relative off, which the acceptance rule (tol times
+    # |value|) refused, and the entry took a path integral
+    p = MLParams(0.7)
+    res = evaluate(p, -2.0, 0.1, 2)
+    oracle = ml_series_deriv(p, -2.0, 0.1, 2, extended=True)
+    assert res.method == "series"
+    gap = abs(res.value - oracle.value)
+    assert gap <= 1e-12 * abs(res.value)
+    assert gap <= res.err_estimate + oracle.err_estimate
 
 
 def test_forced_plain_mode_reports_honest_error():
@@ -486,11 +513,14 @@ def test_array_plain_pass_is_the_scalar_loop(alpha, beta):
     # entry is the scalar loop's value, bar and term count, bit for bit, and
     # a complex beta agrees within both bars
     p = MLParams(alpha, beta)
-    lam = np.repeat([-2.0, 0.5 + 1.5j, 3.0, -0.7j, 1e-3], 3)
-    ts = np.repeat([0.3, 1.0, 0.2, 2.0, 1.0], 3)
-    ls = np.tile([0, 1, 2], 5)
+    # the last entry's value is below 1, where the sum stops at tol times
+    # |value| and so reaches the series' acceptance rule
+    lam = np.append(np.repeat([-2.0, 0.5 + 1.5j, 3.0, -0.7j, 1e-3], 3), -0.5)
+    ts = np.append(np.repeat([0.3, 1.0, 0.2, 2.0, 1.0], 3), 0.02)
+    ls = np.append(np.tile([0, 1, 2], 5), 2)
     res = evaluate(p, lam, ts, ls)
     assert "series" in res.method
+    assert res.method[-1] == "series" and abs(res.value[-1]) < 1.0
     for lj, t, l, value, err, method, work in zip(lam, ts, ls, res.value, res.err_estimate,
                                                   res.method, res.terms_or_panels):
         one = evaluate(p, complex(lj), float(t), int(l))
