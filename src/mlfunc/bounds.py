@@ -42,18 +42,11 @@ exterior lambda and z = lambda t^a with t >= t0,
 
     E_{a,a}(z) = - sum_{k=2..N} z^(-k) / Gamma(a - a k) + R_N(z)
 
-(the k = 1 term vanishes since 1/Gamma(0) = 0), with
-
-    |d^l/dlambda^l R_N(lambda t^a)|
-        <= I_N / (2 a pi) |lambda|^-(N+l+1) t^(-a(N+1))
-           * sum_{j=0..l} C(l,j) (N)_j (l-j)! / sin(theta0)^(l-j+1)
-
-where I_N integrates |exp(zeta**(1/a))| |zeta|**(1/a - 1 + N) over the path
-and (N)_j is the rising factorial.  I_1 = I1, so N = 1 reproduces M_hat_l;
-``expansion_remainder`` is the one implementation of that constant.  Past
-N = 1 it takes I_N from the closed-form bound ``contour.path_mass_bound``
-(rays extended to [0, inf) plus the unit arc), the one mass bound the
-expansion route of ``evaluate`` uses too.
+(the k = 1 term vanishes since 1/Gamma(0) = 0), and
+``contour.remainder_bound`` at |z| = |lambda|, dist = |lambda| sin(theta0)
+bounds |d^l/dlambda^l R_N(lambda t^a)| t^(a(N+1)).  At N = 1 with I_1 = I1
+it is M_hat_l; the expansion route of ``evaluate`` and ``matrixfn``'s tail
+take the same bound.
 
 ``certify_*`` measure the left sides on a geometric t-grid by routes that
 never subtract the large exponential (the remainder IS a path integral and
@@ -73,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import binom, rgamma
 
 from .contour import (
     ContourSpec,
@@ -83,6 +75,7 @@ from .contour import (
     classify_region,
     integrate_gamma,
     ml_contour_deriv,
+    remainder_bound,
 )
 from .numcore import (
     DomainError,
@@ -94,7 +87,7 @@ from .numcore import (
     recip_gamma,
     require_finite,
 )
-from .series import MLParams, ml_eval
+from .series import MLParams, evaluate, ml_eval
 
 __all__ = [
     "SectorContextError",
@@ -106,8 +99,6 @@ __all__ = [
     "lemma2_constants",
     "Lemma4Constants",
     "lemma4_constants",
-    "expansion_coefficient",
-    "expansion_remainder",
     "CertificatePoint",
     "CertificateReport",
     "certify_lemma2_i",
@@ -261,50 +252,6 @@ def kappa_integrals(alpha: float, theta: float) -> KappaIntegrals:
     return KappaIntegrals(v0, v1, e0, e1)
 
 
-def expansion_coefficient(alpha: float, lam, k, l, beta: complex | None = None):
-    """Coefficient of t^(-alpha k) in the order-k term of
-    (1/l!) d^l/dlambda^l E_{a,b}(lambda t^a) expanded at infinity:
-
-        -(-1)^l C(k+l-1, l) lambda^(-k-l) / Gamma(b - a k)
-
-    (C(k+l-1, l) = (k)_l / l!), with b = ``beta``, by default a.  At
-    b = a it is 0 at k = 1.  ``lam``, ``k`` and ``l`` may be arrays,
-    broadcast together; the result is real when lambda and beta are.
-    """
-    beta = complex(alpha if beta is None else beta)
-    lam = np.asarray(lam, dtype=complex)
-    k, l = np.asarray(k), np.asarray(l)
-    n = k + l
-    positive = l % 2 == 1
-    if lam.imag.any():
-        power = lam ** -n
-    else:
-        # a real power keeps a real coefficient real; |lambda|^-n with the
-        # sign taken apart is also far faster than a negative base's power
-        power = np.abs(lam.real) ** -n
-        positive = positive ^ ((lam.real < 0.0) & (n % 2 == 1))
-    x = beta.real - alpha * k if beta.imag == 0.0 else beta - alpha * k
-    coef = np.where(positive, 1.0, -1.0) * binom(n - 1, l) * power * rgamma(x)
-    return coef[()]
-
-
-def expansion_remainder(ctx: SectorContext, n: int, l: int, i_n: float) -> float:
-    """Constant C with |d^l/dlambda^l R_n(lambda t^a)| <= C / t^(a(n+1)) for
-    t >= t0 on the exterior side, where R_n is the remainder of E_{a,a}
-    after the order-n expansion.  ``i_n`` is an upper bound on I_n, such
-    as the closed form ``contour.path_mass_bound``.  At n = 1 with
-    i_n = I1 this is Lemma 4's M_hat_l.
-    """
-    s = math.sin(ctx.theta0)
-    # the module docstring's sum over j, indexed by k = l - j
-    comb_sum = sum(
-        math.comb(l, k) * math.prod(range(n, n + l - k)) * math.factorial(k)
-        / s ** (k + 1)
-        for k in range(l + 1)
-    )
-    return i_n / (2.0 * ctx.alpha * math.pi * abs(ctx.lam) ** (n + l + 1)) * comb_sum
-
-
 @dataclass(frozen=True)
 class Lemma2Constants:
     m: float              # max of the two components as printed
@@ -358,7 +305,9 @@ def lemma4_constants(ctx: SectorContext, l_max: int) -> Lemma4Constants:
     two_a_pi = 2.0 * ctx.alpha * math.pi
     m_l = tuple(math.factorial(l) * kap.i0 / (two_a_pi * (mod * s) ** (l + 1))
                 for l in range(l_max + 1))
-    m_hat_l = tuple(expansion_remainder(ctx, 1, l, kap.i1) for l in range(l_max + 1))
+    m_hat_l = tuple(math.exp(remainder_bound(ctx.alpha, math.log(kap.i1), mod, mod * s,
+                                             1, l))
+                    for l in range(l_max + 1))
     return Lemma4Constants(m_l, m_hat_l, ctx.t0, kap.i0, kap.i1)
 
 
@@ -708,8 +657,9 @@ def lemma3_limit_check(alpha: float, lam: complex,
     noise-aware decreasing flag (error bars at the default presets set the
     slack).  The E_{a,a} values at the nodes of one integrand call (a
     panel, or both halves of a bisected one) come from the ratio series
-    where a plain sum keeps its digits, and else from one batched
-    ``ml_contour_deriv`` call.
+    where a plain sum keeps its digits, with a heuristic relative bar, and
+    else from one array ``evaluate`` call; a point then charges the
+    largest relative bar of the values it took.
     """
     if not (0.0 < alpha < 1.0):
         raise SectorContextError("hypothesis violated: alpha must lie in (0, 1)")
@@ -744,30 +694,33 @@ def lemma3_limit_check(alpha: float, lam: complex,
     growth_top = z_top ** inv_alpha
     # digits lost to cancellation in a plain sum at the largest argument
     cancel_top = growth_top * (1.0 - math.cos(phi * inv_alpha)) / _LN10
+    rels = []  # relative bars of the values the current point takes
     if growth_top < 600.0 and cancel_top <= 2.5:
         # vectorized term recurrence over precomputed gamma ratios
         raa = _term_ratio_plan(alpha, complex(alpha), z_top)
         r1 = _term_ratio_plan(alpha, 1.0, z_top)
+        ratio_rel = 10.0 ** cancel_top * (100.0 + len(raa)) * _EPS
 
         def eaa_vec(v: np.ndarray) -> np.ndarray:
+            rels.append(ratio_rel)
             return _series_by_ratios(alpha, complex(alpha), raa, lam * v)
 
         def e1_val(z: complex) -> complex:
             return complex(_series_by_ratios(alpha, 1.0, r1, np.array([z]))[0])
-
-        node_rel = 10.0 ** cancel_top * (100.0 + len(raa)) * _EPS
     else:
         paa = MLParams(alpha, complex(alpha))
         p1 = MLParams(alpha, 1.0)
 
         def eaa_vec(v: np.ndarray) -> np.ndarray:
-            # one batched path integral over the call's nodes, v > 0
-            return ml_contour_deriv(paa, lam, v ** inv_alpha, 0).value
+            # one array call over the call's nodes, v > 0
+            res = evaluate(paa, lam, v ** inv_alpha, 0)
+            rels.append(float(np.max(res.err_estimate / np.abs(res.value))))
+            return res.value
 
         def e1_val(z: complex) -> complex:
-            return ml_eval(p1, z).value
-
-        node_rel = 1e-11
+            res = ml_eval(p1, z)
+            rels.append(res.err_estimate / abs(res.value))
+            return res.value
 
     points = []
     for u in u_grid:
@@ -780,7 +733,8 @@ def lemma3_limit_check(alpha: float, lam: complex,
         num, num_err = integrate_path(f, [line_segment(0.0, ua)])
         den = e1_val(lam * ua)
         lhs = num / den
-        err = num_err / abs(den) + 4.0 * node_rel * abs(lhs) + rhs_err
+        err = num_err / abs(den) + 4.0 * max(rels) * abs(lhs) + rhs_err
+        rels.clear()
         points.append(LimitPoint(
             u=float(u),
             lhs=lhs,

@@ -44,14 +44,18 @@ rays extended to [0, inf) and the unit arc give it in closed form,
 
     I_N <= e^(|Im beta| theta/alpha) (2 alpha c^(-A) Gamma(A) + 2 theta e),
 
-finite for s > -1 (``path_mass_bound``, which ``matrixfn``'s tail
-bound takes too).  For l >= 1, Cauchy's estimate on the disk of radius
-rho = dist(z, gamma)/2 about z, which stays off the path and away from 0,
-bounds the l-th derivative of the remainder by
-l! I_N / (2 alpha pi rho^(l+1) (|z| - rho)^N).  No quadrature enters, and
-none of this needs alpha < 1: at alpha = 1 the same paths, with theta in
-(pi/2, pi), carry the expansion of E_{1,beta}.  ``_expansion_route`` is
-``evaluate``'s route on it.
+finite for s > -1 (``path_mass_bound``).  R_N(z) = z^(-N) J(z), where J is
+the path integral of kernel(zeta) zeta^N / (zeta - z), so
+|J^(k)(z)| <= k! I_N / (2 alpha pi dist^(k+1)), and the product rule bounds
+the l-th derivative of the remainder by
+
+    I_N / (2 alpha pi) sum_{k<=l} C(l,k) (N)_(l-k) k! |z|^(-(N+l-k)) / dist^(k+1)
+
+((N)_j the rising factorial) at any z off the path, in G+ or G-
+(``remainder_bound``; ``matrixfn``'s tail bound and ``bounds``' M_hat_l take
+both).  No quadrature enters, and none of this needs alpha < 1: at
+alpha = 1 the same paths, with theta in (pi/2, pi), carry the expansion of
+E_{1,beta}.  ``_expansion_route`` is ``evaluate``'s route on it.
 
 ``ml_contour_deriv`` and ``_expansion_route`` take lambda, t and l as 1-D
 arrays, so one call serves every eigenvalue of a matrix argument.
@@ -63,7 +67,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import binom, gammaln, rgamma
 
 from .numcore import (
     DEFAULT_CONTROLS,
@@ -89,11 +93,13 @@ __all__ = [
     "classify_region",
     "contour_distance",
     "contour_path",
+    "expansion_coefficient",
     "integrate_gamma",
     "ml_contour",
     "ml_contour_deriv",
     "path_mass_bound",
     "recip_gamma_via_contour",
+    "remainder_bound",
 ]
 
 _EPS = math.ulp(1.0)
@@ -132,7 +138,7 @@ def _path_geometry(theta, eps: float, z) -> tuple[np.ndarray, np.ndarray]:
     broadcast together.  Only the angles enter, not alpha, so the same
     geometry serves alpha = 1 with theta in (pi/2, pi)."""
     z = np.asarray(z, dtype=complex)
-    mod = np.abs(z)
+    mod = np.hypot(z.real, z.imag)  # abs() of a Python complex, to the last bit
     arg = np.abs(np.angle(z))  # the ray on z's side of the axis is the nearer one
     along = mod * np.cos(arg - theta)
     across = mod * np.abs(np.sin(arg - theta))
@@ -143,7 +149,7 @@ def _path_geometry(theta, eps: float, z) -> tuple[np.ndarray, np.ndarray]:
 
 def _near_path(dist: np.ndarray, z) -> np.ndarray:
     """The guard band of ``classify_region``: closer than 1e-6 * max(1, |z|)."""
-    return dist < 1e-6 * np.maximum(1.0, np.abs(z))
+    return dist < 1e-6 * np.maximum(1.0, np.hypot(z.real, z.imag))
 
 
 def contour_distance(spec: ContourSpec, z: complex) -> float:
@@ -468,6 +474,50 @@ def path_mass_bound(alpha: float, beta: complex, turns, orders) -> np.ndarray:
     return np.logaddexp(log_ray, log_arc) + abs(beta.imag) * turns
 
 
+def remainder_bound(alpha: float, log_mass, z_mod, dist, orders, l):
+    """log of the module docstring's bound on |R_N^(l)(z)|, with
+    log I_N = ``log_mass``, |z| = ``z_mod``, dist(z, gamma) = ``dist`` and
+    N = ``orders``, all broadcast with l.  It is summed as
+    l! |z|^(-N) dist^(-(l+1)) sum_{j<=l} C(N+j-1, j) (dist/|z|)^j."""
+    log_bound = (-math.log(2.0 * alpha * math.pi) - np.log(dist) + log_mass
+                 - orders * np.log(z_mod))
+    if not np.any(l):
+        return log_bound
+    q = dist / z_mod
+    term = total = 1.0
+    for j in range(1, int(np.max(l)) + 1):
+        term = term * q * ((orders + (j - 1.0)) / j)
+        total = total + np.where(l >= j, term, 0.0)
+    return log_bound + gammaln(l + 1.0) - l * np.log(dist) + np.log(total)
+
+
+def expansion_coefficient(alpha: float, lam, k, l, beta: complex | None = None):
+    """Coefficient of t^(-alpha k) in the order-k term of
+    (1/l!) d^l/dlambda^l E_{a,b}(lambda t^a) expanded at infinity:
+
+        -(-1)^l C(k+l-1, l) lambda^(-k-l) / Gamma(b - a k)
+
+    (C(k+l-1, l) = (k)_l / l!), with b = ``beta``, by default a.  At
+    b = a it is 0 at k = 1.  ``lam``, ``k`` and ``l`` may be arrays,
+    broadcast together; the result is real when lambda and beta are.
+    """
+    beta = complex(alpha if beta is None else beta)
+    lam = np.asarray(lam, dtype=complex)
+    k, l = np.asarray(k), np.asarray(l)
+    n = k + l
+    positive = l % 2 == 1
+    if lam.imag.any():
+        power = lam ** -n
+    else:
+        # a real power keeps a real coefficient real; |lambda|^-n with the
+        # sign taken apart is also far faster than a negative base's power
+        power = np.abs(lam.real) ** -n
+        positive = positive ^ ((lam.real < 0.0) & (n % 2 == 1))
+    x = beta.real - alpha * k if beta.imag == 0.0 else beta - alpha * k
+    coef = np.where(positive, 1.0, -1.0) * binom(n - 1, l) * power * rgamma(x)
+    return coef[()]
+
+
 def _expansion_orders(alpha: float, beta: complex) -> np.ndarray:
     """The orders N the expansion route may sum to: those with s > -1 (a
     finite ray mass), up to the limits above."""
@@ -486,22 +536,16 @@ def _expansion_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray, l: n
     left out of that test, since the path route would carry it too; the
     reported bar includes it.  All entries share one vectorized pass.
 
-    For z = lambda t**alpha off a path gamma(1, theta),
-
-        E(z) = [explicit G+ term] - sum_{k=1..N} z^(-k) / Gamma(beta - alpha k) + R_N(z),
-        |R_N^(l)(z)| <= l! I_N / (2 alpha pi rho^(l+1) (|z| - rho)^N),
-
-    with rho = dist(z, gamma)/2 (Cauchy's estimate on the disk of radius
-    rho, which stays off the path), and at l = 0 with rho = dist(z, gamma)
-    and |z|^N in the denominator.  I_N is ``path_mass_bound``.
-
-    A screen first passes on at once every entry that falls e^5 short of
-    tol even on a rough estimate (below).  Each other entry takes the ray
-    angle of ``admissible_specs`` whose bound is smallest over N; log I_N
-    is convex in N, so on each path that order is where I_(N+1)/I_N first
-    reaches |z| - rho (|z| at l = 0).  It sums to the first order whose bound is below
-    1/64 ulp of the largest of its first four terms, past which the
-    rounding bar dominates, or else to the order of the smallest bound.
+    It sums the module docstring's expansion at z = lambda t**alpha, with
+    the remainder bounded by ``remainder_bound``.  A screen first passes on
+    at once every entry that falls e^5 short of tol even on a rough
+    estimate (below).  Each other entry takes the ray angle of
+    ``admissible_specs`` whose bound is smallest at the order where
+    I_N |z|^(-N) is smallest; log I_N is convex in N, so on each path that
+    order is where I_(N+1)/I_N first reaches |z|.  On that ray it sums to
+    the first order whose bound is below 1/64 ulp of the largest of its
+    first four terms, past which the rounding bar dominates, or else to the
+    order of the smallest bound.
     The rounding bar charges each term 100 eps, N eps for the sum, the
     rounding of the power z^(-k-l), and the shift eps (alpha k + |x|) of
     x = beta - alpha k through the slope of 1/Gamma.  That slope is
@@ -509,8 +553,6 @@ def _expansion_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray, l: n
     reflection bounds it by Gamma(1 - Re x) cosh(pi Im x) (log(2 + |x|) + 4)
     elsewhere, pole or not.
     """
-    from .bounds import expansion_coefficient  # deferred: bounds builds on this module
-
     alpha, beta = p.alpha, p.beta
     results: list[EvalResult | None] = [None] * t.size
     # an overflow, or an inf or NaN, only ever makes an entry's bar miss
@@ -532,26 +574,19 @@ def _expansion_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray, l: n
             return results
         log_i = path_mass_bound(alpha, beta, _RAY_TURNS, orders)
         t, l, z, z_mod = t[keep], l[keep], z[keep], z_mod[keep]
-        # the smallest bound on each path, then the best path
+        # each path's bound at its smallest I_N |z|^(-N), then the best path
         dist, g_plus = _path_geometry(_RAY_TURNS * alpha, 1.0, z[:, None])
-        first = (l == 0)[:, None]
-        rho = np.where(first, dist, 0.5 * dist)
-        base = np.where(first, z_mod[:, None], z_mod[:, None] - rho)
-        usable = (base > 1.0) & ~_near_path(dist, z[:, None])
-        log_base = np.log(np.where(usable, base, 2.0))
-        log_lfac = gammaln(l + 1.0)
-        log_front = (log_lfac[:, None] - math.log(2.0 * alpha * math.pi)
-                     - (l + 1.0)[:, None] * np.log(np.where(usable, rho, 1.0)))
-        at = (np.diff(log_i, axis=1) < log_base[:, :, None]).sum(axis=2)
-        log_min = np.where(usable, log_front + np.take_along_axis(log_i, at.T, axis=1).T
-                           - orders[at] * log_base, np.inf)
+        usable = (z_mod[:, None] > 1.0) & ~_near_path(dist, z[:, None])
+        at = (np.diff(log_i, axis=1) < np.log(z_mod)[:, None, None]).sum(axis=2)
+        log_min = np.where(usable, remainder_bound(
+            alpha, np.take_along_axis(log_i, at.T, axis=1).T, z_mod[:, None], dist,
+            orders[at], l[:, None]), np.inf)
         rows = np.arange(keep.size)
         best = np.argmin(log_min, axis=1)
-        at, log_min, g_plus = at[rows, best], log_min[rows, best], g_plus[rows, best]
-        log_front, log_base = log_front[rows, best], log_base[rows, best]
+        log_min, g_plus, dist = log_min[rows, best], g_plus[rows, best], dist[rows, best]
         # an entry's size is the largest of its first four terms; outside
         # G+ an entry whose smallest bound is far above tol times it goes on
-        lfac = np.exp(log_lfac)
+        lfac = np.exp(gammaln(l + 1.0))
         lead = lfac * np.abs(expansion_coefficient(
             alpha, z[:, None], np.arange(1, 5), l[:, None], beta)).max(axis=1)
         live = np.flatnonzero(np.isfinite(log_min) & (
@@ -559,10 +594,11 @@ def _expansion_route(p: MLParams, lam: complex | np.ndarray, t: np.ndarray, l: n
         if not live.size:
             return results
         keep, t, l, z, z_mod = keep[live], t[live], l[live], z[live], z_mod[live]
-        best, at, g_plus, lfac, lead = best[live], at[live], g_plus[live], lfac[live], lead[live]
-        log_bounds = log_front[live, None] + log_i[best] - orders * log_base[live, None]
+        best, g_plus, lfac, lead = best[live], g_plus[live], lfac[live], lead[live]
+        log_bounds = remainder_bound(alpha, log_i[best], z_mod[:, None], dist[live, None],
+                                     orders, l[:, None])
         below = log_bounds <= np.log(lead * (_EPS / 64.0))[:, None]
-        stop = np.where(below.any(axis=1), below.argmax(axis=1), at)
+        stop = np.where(below.any(axis=1), below.argmax(axis=1), log_bounds.argmin(axis=1))
         remainder = np.exp(log_bounds[np.arange(live.size), stop])
         # the terms and their rounding, one row per entry
         n_terms = orders[stop][:, None]

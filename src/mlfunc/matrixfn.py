@@ -25,21 +25,22 @@ eigenvalues, ||E_alpha(t^alpha A)|| decays like t^(-alpha), and
 
 is finite.  The integral is certified by quadrature up to a cutoff T plus a
 closed-form bound on the tail past T, built from the asymptotic expansion
-of E_{alpha,alpha} with an explicit remainder (see ``mlfunc.bounds``).  To
+of E_{alpha,alpha} with an explicit remainder (see ``mlfunc.contour``).  To
 order N, a block's function value is
 
     E(tau^alpha J) = sum_{k=2..N} tau^(-alpha k) C_k + (remainder part)
 
 with C_k the constant upper-triangular Toeplitz matrix of expansion
 coefficients; the nilpotent shifts have unit norm, so the remainder part is
-at most sum_l (1/l!) |d^l R_N| <= B_N tau^(-alpha(N+1)), with the path mass
-I_N in B_N from the closed form ``contour.path_mass_bound``.  Every power
-integrates in closed form against tau^(alpha-1) on [T, infinity), blocks
-are combined through the per-power maximum of their coefficients (a bound on
-the block-diagonal norm at every tau), and a transform inflates the result
-by cond(T).  N = 1 is Lemma 4's M_hat_l tail; the smallest bound over
-N = 1, 2, ... is used, stopping at the first N whose bound grows or
-barely shrinks.
+at most sum_l (1/l!) |d^l R_N| <= B_N tau^(-alpha(N+1)) for tau >= t0, with
+B_N from ``contour.remainder_bound`` at |z| = |lambda|,
+dist = |lambda| sin(theta0) and the path mass I_N from the closed form
+``contour.path_mass_bound``.  Every power integrates in closed form
+against tau^(alpha-1) on [T, infinity), blocks are combined through the
+per-power maximum of their coefficients (a bound on the block-diagonal
+norm at every tau), and a transform inflates the result by cond(T).
+N = 1 is Lemma 4's M_hat_l tail; the smallest bound over N = 1, 2, ... is
+used, stopping at the first N whose bound grows or barely shrinks.
 """
 
 import itertools
@@ -48,14 +49,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
-from .bounds import (
-    SectorContextError,
-    expansion_coefficient,
-    expansion_remainder,
-    sector_context,
-)
-from .contour import path_mass_bound
+from .bounds import SectorContextError, sector_context
+from .contour import expansion_coefficient, path_mass_bound, remainder_bound
 from .numcore import (
     DomainError,
     QuadratureControls,
@@ -356,15 +353,18 @@ def _asymptotic_tail(alpha: float, spec: JordanSpec, ctxs, t_max: float) -> floa
     best = math.inf
     turns = [ctx.theta / alpha for ctx in ctxs]
     sizes = [size for _, size in spec.blocks]
+    orders = [np.arange(size) for size in sizes]  # the derivatives of each block
     combined: dict[int, float] = {}
     for n in itertools.count(1):
         if n >= 2:
             combined[n] = max(0.0, *(_coefficient_norm(ctx, size, n)
                                      for ctx, size in zip(ctxs, sizes)))
-        masses = np.exp(path_mass_bound(alpha, complex(alpha), turns, [n])[:, 0])
-        remainder = max(0.0, *(sum(expansion_remainder(ctx, n, l, i_n) / math.factorial(l)
-                                   for l in range(size)) * _COEFF_SLACK
-                               for ctx, size, i_n in zip(ctxs, sizes, masses.tolist())))
+        log_masses = path_mass_bound(alpha, complex(alpha), turns, [n])[:, 0]
+        remainder = max(0.0, *(
+            float(np.exp(remainder_bound(alpha, log_i, abs(ctx.lam),
+                                         abs(ctx.lam) * math.sin(ctx.theta0), n, l)
+                         - gammaln(l + 1.0)).sum()) * _COEFF_SLACK
+            for ctx, l, log_i in zip(ctxs, orders, log_masses.tolist())))
         bound = sum(a_k * t_max ** (-alpha * (k - 1)) / (alpha * (k - 1))
                     for k, a_k in [*combined.items(), (n + 1, remainder)])
         if not bound < (1.0 - _MIN_ORDER_GAIN) * best:  # NaN stops too

@@ -17,8 +17,6 @@ from mlfunc.bounds import (
     certify_lemma2_ii,
     certify_lemma2_iii,
     certify_lemma4,
-    expansion_coefficient,
-    expansion_remainder,
     kappa_integrals,
     lemma2_constants,
     lemma3_limit_check,
@@ -27,6 +25,7 @@ from mlfunc.bounds import (
 )
 import mlfunc.bounds as bounds
 import mlfunc.contour as contour
+from mlfunc.contour import expansion_coefficient
 from mlfunc.numcore import DomainError
 from mlfunc.series import MLParams, evaluate, ml_series_deriv
 
@@ -112,6 +111,14 @@ def test_lemma4_constants_growth_in_order():
     assert all(b > a for a, b in zip(c.m_hat_l, c.m_hat_l[1:]))
 
 
+def _remainder_constant(ctx, n, l, log_mass):
+    # contour.remainder_bound at |z| = |lambda|, dist = |lambda| sin(theta0):
+    # the constant C of |d^l R_n(lambda t^a)| <= C / t^(a(n+1)) for t >= t0
+    mod = abs(ctx.lam)
+    return math.exp(contour.remainder_bound(ctx.alpha, log_mass, mod,
+                                            mod * math.sin(ctx.theta0), n, l))
+
+
 @pytest.mark.parametrize("alpha, lam, l_max", [
     (0.5, -1.0, 2),
     (0.7, cmath.exp(0.8j * math.pi), 2),
@@ -119,11 +126,10 @@ def test_lemma4_constants_growth_in_order():
 ])
 def test_expansion_remainder_bounds_the_true_remainder(alpha, lam, l_max):
     # (1/l!) d^l E_{a,a}(lam t^a) minus the explicit terms of order <= n must
-    # stay within (1/l!) expansion_remainder / t^(a(n+1)) for every t >= t0
+    # stay within (1/l!) remainder_bound / t^(a(n+1)) for every t >= t0
     ctx = sector_context(alpha, lam)
     log_masses = contour.path_mass_bound(alpha, complex(alpha), [ctx.theta / alpha],
                                          np.arange(1, 5))[0]
-    masses = {n: math.exp(log_masses[n - 1]) for n in range(1, 5)}
     p = MLParams(alpha, complex(alpha))
     for t in np.geomspace(ctx.t0, 50.0 * ctx.t0, 5):
         for l in range(l_max + 1):
@@ -133,7 +139,7 @@ def test_expansion_remainder_bounds_the_true_remainder(alpha, lam, l_max):
             for n in range(1, 5):
                 if n >= 2:
                     explicit += expansion_coefficient(alpha, lam, n, l) * t ** (-alpha * n)
-                bound = (expansion_remainder(ctx, n, l, masses[n]) / lfac
+                bound = (_remainder_constant(ctx, n, l, log_masses[n - 1]) / lfac
                          * t ** (-alpha * (n + 1)))
                 gap = abs(exact.value / lfac - explicit)
                 assert gap <= bound + exact.err_estimate / lfac, (t, l, n)
@@ -145,7 +151,7 @@ def test_expansion_first_order_is_lemma4_m_hat():
         i1 = kappa_integrals(alpha, ctx.theta).i1
         m_hat = lemma4_constants(ctx, 3).m_hat_l
         for l in range(4):
-            assert expansion_remainder(ctx, 1, l, i1) == m_hat[l]
+            assert _remainder_constant(ctx, 1, l, math.log(i1)) == m_hat[l]
         # the order-1 term vanishes because 1/Gamma(0) = 0
         assert expansion_coefficient(alpha, lam, 1, 0) == 0
 

@@ -5,22 +5,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mlfunc.bounds import _CERT_QUAD, _interior_eval_spec, certify_lemma2_i, sector_context
 from mlfunc.contour import (
     ContourSpec,
     RegionClass,
+    _explicit_part,
     _explicit_term,
     _path_geometry,
     admissible_specs,
     cauchy_integral,
     classify_region,
     contour_distance,
+    expansion_coefficient,
     ml_contour,
     ml_contour_deriv,
+    path_mass_bound,
     recip_gamma_via_contour,
+    remainder_bound,
 )
 from mlfunc.numcore import DomainError, QuadratureControls, QuadratureError, recip_gamma
 from mlfunc.series import MLParams, ml_series_deriv
@@ -88,6 +92,8 @@ def test_contour_distance_nonnegative(alpha, r, phi):
        st.floats(min_value=0.0, max_value=30.0),
        st.floats(min_value=-math.pi, max_value=math.pi))
 @settings(max_examples=60)
+# a point on the arc whose np.abs is 1.0000000000000002 and abs() is 1.0
+@example(frac=0.5, eps=1.0, r=1.0, phi=0.18860910830206512)
 def test_path_geometry_matches_a_sampled_path(frac, eps, r, phi):
     # theta = frac * pi covers every alpha < 1 and the alpha = 1 paths;
     # the distance to a finely sampled path bounds it from above
@@ -101,6 +107,40 @@ def test_path_geometry_matches_a_sampled_path(frac, eps, r, phi):
     assert dist <= sampled + 1e-12 * (1.0 + r)
     assert sampled <= dist + 0.01 * eps + 1e-3 * r
     assert bool(g_plus) == (abs(z) > eps and abs(cmath.phase(z)) < theta)
+
+
+@given(st.floats(min_value=0.3, max_value=0.95),
+       st.sampled_from(["alpha", "1", "1.5", "0.7+0.4i"]),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=6),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=-math.pi, max_value=math.pi))
+@settings(max_examples=40, deadline=None)
+def test_remainder_bound_covers_the_remainder(alpha, beta_kind, l, n, frac, phi):
+    # R_N^(l)(z) = E^(l)(z) - [explicit G+ term]^(l) - l! sum_{k<=N} (coefficient
+    # of the order-k term), against the extended series, for z in G+ or G- of
+    # a unit-radius admissible path; |z|**(1/alpha) <= 25 keeps the explicit
+    # term's cancellation in G+ small
+    beta = {"alpha": alpha, "1": 1.0, "1.5": 1.5, "0.7+0.4i": complex(0.7, 0.4)}[beta_kind]
+    beta = complex(beta)
+    assume(n > (beta.real - 1.0) / alpha - 1.0)  # a finite ray mass
+    lo, hi = math.log(1.5), math.log(min(20.0, 25.0 ** alpha))
+    z = cmath.rect(math.exp(lo + frac * (hi - lo)), phi)
+    spec = next((s for s in admissible_specs(alpha, z) if s.eps == 1.0), None)
+    assume(spec is not None)
+    dist, g_plus = _path_geometry(spec.theta, 1.0, z)
+    p = MLParams(alpha, beta)
+    exact = ml_series_deriv(p, z, 1.0, l, extended=True)
+    remainder = exact.value - math.factorial(l) * expansion_coefficient(
+        alpha, z, np.arange(1, n + 1), l, beta).sum()
+    slack = exact.err_estimate
+    if g_plus:
+        expl, bar = _explicit_part(alpha, beta, z, l)
+        remainder -= expl
+        slack += bar
+    log_mass = path_mass_bound(alpha, beta, [spec.theta / alpha], [n])[0, 0]
+    bound = math.exp(remainder_bound(alpha, log_mass, abs(z), float(dist), n, l))
+    assert abs(remainder) <= bound + slack
 
 
 # ------------------------------------------------- reciprocal gamma identity

@@ -612,6 +612,24 @@ def test_expansion_route_refuses_a_tolerance_out_of_its_reach():
     assert res.value.real == pytest.approx(sp.erfcx(30.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha, beta, lam, t, l", [
+    (0.5, 1.0, -2.0, 12.0, 1),
+    (0.5, 1.0, -2.0, 12.0, 2),
+    (0.5, 0.5, -2.0, 12.0, 2),
+    (0.7, 1.0, -1.0, 40.0, 2),
+    (0.7, 1.0, cmath.exp(0.8j * math.pi), 40.0, 2),
+])
+def test_expansion_route_takes_derivatives_its_remainder_bound_certifies(alpha, beta, lam,
+                                                                         t, l):
+    # derivative entries whose remainder bound meets tol only in the
+    # product-rule form, which is tighter than a Cauchy estimate on a disk
+    p = MLParams(alpha, beta)
+    res = evaluate(p, lam, t, l)
+    assert res.method == "asymptotic"
+    oracle = ml_series_deriv(p, lam, t, l, extended=True)
+    assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+
+
 def test_expansion_keeps_a_g_plus_entry_whose_explicit_term_sets_the_bar():
     # an eval-mix draw: the explicit G+ term's own rounding bar (about 2.5e-11
     # relative) exceeds tol, and the path route would carry it as well, so
