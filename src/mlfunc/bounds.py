@@ -59,7 +59,6 @@ integral.
 the envelopes.
 """
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -583,7 +582,8 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
 _LN10 = math.log(10.0)
 
 
-def _term_ratio_plan(alpha: float, beta: complex, z_top: float) -> np.ndarray:
+def _term_ratio_plan(alpha: float, beta: complex,
+                     z_top: float) -> tuple[np.ndarray, np.ndarray]:
     """Gamma-ratio table for summing the series by term recurrence.
 
     term_{k+1} = term_k * z * ratios[k] with ratios[k] =
@@ -591,7 +591,9 @@ def _term_ratio_plan(alpha: float, beta: complex, z_top: float) -> np.ndarray:
     coefficients 1/Gamma(alpha k + beta), which underflow long before the
     terms at |z| = z_top become negligible, every quantity here stays near
     the term scale.  The table length makes the truncated tail at z_top
-    sit 24 digits under the largest term.
+    sit 24 digits under the largest term.  Returns the ratios with the
+    profile log10 |1/Gamma(alpha k + beta)| at the same k, from which a
+    call cuts the table at its own largest |z|.
     """
     from scipy.special import loggamma
 
@@ -599,21 +601,33 @@ def _term_ratio_plan(alpha: float, beta: complex, z_top: float) -> np.ndarray:
     n = 256
     while True:
         k = np.arange(n, dtype=float)
-        prof = k * log_zt - loggamma(alpha * k + beta).real / _LN10
-        peak = int(np.argmax(prof))
-        past = np.nonzero(prof[peak:] < prof[peak] - 24.0)[0]
-        if past.size:
-            n_terms = peak + int(past[0]) + 1
+        log_coef = -loggamma(alpha * k + beta).real / _LN10
+        n_terms = _terms_to_cut(k * log_zt + log_coef)
+        if n_terms:
             break
         if n >= 1 << 17:
             raise DomainError("series terms refuse to decay; argument too large")
         n *= 2
     x = alpha * np.arange(n_terms, dtype=float) + complex(beta)
-    return np.exp(loggamma(x) - loggamma(x + alpha))
+    return np.exp(loggamma(x) - loggamma(x + alpha)), log_coef[:n_terms]
 
 
-def _series_by_ratios(alpha: float, beta: complex, ratios: np.ndarray,
-                      z: np.ndarray) -> np.ndarray:
+def _terms_to_cut(prof: np.ndarray) -> int:
+    """The number of terms up to the first past the peak of the log10
+    profile ``prof`` that sits 24 digits under it, or 0 if none does."""
+    peak = int(np.argmax(prof))
+    past = np.flatnonzero(prof[peak:] < prof[peak] - 24.0)
+    return peak + int(past[0]) + 1 if past.size else 0
+
+
+def _series_by_ratios(alpha: float, beta: complex, plan, z: np.ndarray) -> np.ndarray:
+    """sum_k z^k / Gamma(alpha k + beta) over ``plan``'s table, cut at the
+    call's own largest |z| as the plan's length is cut at z_top."""
+    ratios, log_coef = plan
+    z_max = float(np.abs(z).max())
+    if z_max > 0.0:
+        cut = _terms_to_cut(np.arange(len(ratios)) * math.log10(z_max) + log_coef)
+        ratios = ratios[:cut or None]
     terms = np.cumprod(z[:, None] * ratios, axis=1)  # term_k / term_0, k >= 1
     return complex(recip_gamma(beta)) * (1.0 + terms.sum(axis=1))
 
@@ -699,7 +713,7 @@ def lemma3_limit_check(alpha: float, lam: complex,
         # vectorized term recurrence over precomputed gamma ratios
         raa = _term_ratio_plan(alpha, complex(alpha), z_top)
         r1 = _term_ratio_plan(alpha, 1.0, z_top)
-        ratio_rel = 10.0 ** cancel_top * (100.0 + len(raa)) * _EPS
+        ratio_rel = 10.0 ** cancel_top * (100.0 + len(raa[0])) * _EPS
 
         def eaa_vec(v: np.ndarray) -> np.ndarray:
             rels.append(ratio_rel)

@@ -74,7 +74,6 @@ from .numcore import (
     DomainError,
     PathSegment,
     QuadratureControls,
-    QuadratureError,
     circular_arc,
     cpow,
     integrate_path,
@@ -147,9 +146,14 @@ def _path_geometry(theta, eps: float, z) -> tuple[np.ndarray, np.ndarray]:
     return dist, (mod > eps) & (arg < theta)
 
 
+# the near-path band, relative to max(1, |z|): closer than this to the path,
+# the Gauss-Kronrod estimate of the path integral no longer covers its error
+_NEAR_BAND = 3e-3
+
+
 def _near_path(dist: np.ndarray, z) -> np.ndarray:
-    """The guard band of ``classify_region``: closer than 1e-6 * max(1, |z|)."""
-    return dist < 1e-6 * np.maximum(1.0, np.hypot(z.real, z.imag))
+    """The one near-path band: closer than _NEAR_BAND * max(1, |z|)."""
+    return dist < _NEAR_BAND * np.maximum(1.0, np.hypot(z.real, z.imag))
 
 
 def contour_distance(spec: ContourSpec, z: complex) -> float:
@@ -159,9 +163,10 @@ def contour_distance(spec: ContourSpec, z: complex) -> float:
 
 def classify_region(spec: ContourSpec, z) -> RegionClass | tuple[RegionClass, ...]:
     """G+/G- classification with a near-path guard band: anything closer to
-    the path than 1e-6 * max(1, |z|) is reported NEAR_CONTOUR instead of
-    either region.  A 1-D array of arguments is classified in one pass and
-    gives a tuple, one class per entry.
+    the path than 3e-3 * max(1, |z|) is reported NEAR_CONTOUR instead of
+    either region.  It is the band ``admissible_specs`` keeps clear of and
+    ``cauchy_integral`` rejects.  A 1-D array of arguments is classified in
+    one pass and gives a tuple, one class per entry.
     """
     zs = np.asarray(z, dtype=complex)
     dist, g_plus = _path_geometry(spec.theta, spec.eps, zs)
@@ -182,9 +187,9 @@ def contour_path(spec: ContourSpec) -> list[PathSegment]:
 def integrate_gamma(spec: ContourSpec, f, controls: QuadratureControls,
                     arclength: bool = False):
     """Integral of f over gamma: (value, err, calls), orientation included,
-    where ``calls`` counts the calls of ``f`` (one per seed panel and one
-    per bisection); ``f`` and ``arclength`` are as ``integrate_path`` takes
-    them."""
+    where ``calls`` counts the calls of ``f`` (one per seed call of each
+    of the three pieces, and one per refinement sweep of each); ``f`` and
+    ``arclength`` are as ``integrate_path`` takes them."""
     panels = 0
 
     def counted(zeta: np.ndarray) -> np.ndarray:
@@ -226,7 +231,10 @@ def cauchy_integral(spec: ContourSpec, p: MLParams, z,
     matched to ``z`` (a single z is shared by every order).  Each row is
     then one (z, l) pair; all rows share one adaptive partition of the path
     (the kernel is evaluated once per node) and give arrays of values and
-    error estimates.  Every argument must be finite and sit off the path.
+    error estimates.  Every argument must be finite and keep out of the
+    near-path band of ``classify_region``, 3e-3 * max(1, |z|) from the path,
+    where the Gauss-Kronrod estimate no longer covers the error; an argument
+    inside it raises DomainError.
     For z in G+ this is the remainder E_{alpha,beta}(z) minus the explicit
     term, which the interior certificates of ``bounds`` measure directly.
     """
@@ -313,8 +321,9 @@ _THETA_FRACS = (0.75, 0.625, 0.875, 0.5625, 0.9375)  # of alpha*pi, by preferenc
 
 
 def admissible_specs(alpha: float, z):
-    """Yield the paths that keep at least 1e-3 * max(1, |z_j|) from every
-    entry z_j of ``z`` (one number or a 1-D array), in order of preference:
+    """Yield the paths that keep at least 3e-3 * max(1, |z_j|) from every
+    entry z_j of ``z`` (one number or a 1-D array), the band
+    ``classify_region`` reports NEAR_CONTOUR, in order of preference:
     ray angles 0.75, 0.625, 0.875, 0.5625, 0.9375 of alpha*pi, each with
     radius 1, 1/2 and 2.
 
@@ -322,13 +331,11 @@ def admissible_specs(alpha: float, z):
     the later ones give other partitions and nodes for a cross-check.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    margin = 1e-3 * np.maximum(1.0, np.abs(zs))
     for frac in _THETA_FRACS:
         theta = frac * alpha * math.pi
         for eps in (1.0, 0.5, 2.0):
-            spec = ContourSpec(alpha, theta, eps)
-            if (_path_geometry(theta, eps, zs)[0] >= margin).all():
-                yield spec
+            if not _near_path(_path_geometry(theta, eps, zs)[0], zs).any():
+                yield ContourSpec(alpha, theta, eps)
 
 
 def ml_contour(p: MLParams, z: complex,

@@ -7,12 +7,15 @@ This module collects the low-level numerics everything else is built on:
 * ``recip_gamma``                -- 1/Gamma(z) by scipy's ``rgamma``.  The
   reciprocal is the primary form so the poles of Gamma map to exact zeros.
 * ``integrate_path``             -- adaptive Gauss-Kronrod (7,15) panels over
-  parametrized paths in the complex plane, with truncation of infinite ray
-  tails once the integrand has dropped 18 orders below its peak; both
-  halves of a bisected panel are evaluated in one integrand call.
-  The integrand may return n rows of values on the same nodes; all rows
-  then share one adaptive partition, and each row keeps its own error
-  estimate, stopping target and tail threshold.
+  parametrized paths in the complex plane, refined in sweeps after
+  MATLAB's ``quadgk`` (Shampine, J. Comput. Appl. Math. 211, 2008): each
+  sweep bisects every panel that misses its share of the target and
+  evaluates all the halves on a segment in one integrand call, then
+  rebuilds the sums from the live panels.  An infinite ray is seeded with
+  doubling blocks, six to a call, and cut once the integrand has dropped
+  18 orders below its peak.  The integrand may return n rows of values on
+  the same nodes; all rows then share one adaptive partition, and each row
+  keeps its own error estimate, stopping target and tail threshold.
 
 Only double precision is targeted; arbitrary-precision evaluation is out
 of scope here.
@@ -70,8 +73,8 @@ class QuadratureControls:
     rel_tol / abs_tol  combined target: iteration stops once the summed
                        panel error is below max(abs_tol, rel_tol*|result|),
                        for every integrand row against its own result.
-    max_panels         hard cap on the number of panels before giving up;
-                       panels are shared by all rows.
+    max_panels         hard cap on the number of live panels before giving
+                       up; panels are shared by all rows.
     Presets: DEFAULT_CONTROLS (evaluation), bounds._CERT_QUAD (certificates,
     path masses) and matrixfn._INTEGRAL_QUAD (integral_check).
     """
@@ -284,79 +287,87 @@ def _panel_error(err: float, resasc: float, resabs: float) -> float:
     return max(err, 50.0 * _EPS * resabs)
 
 
-def _eval_panel(f, seg: PathSegment, edges: tuple, arclength: bool):
-    """Apply the (7,15) pair to every integrand on one panel [a, b] of one
-    segment, ``edges = (a, b)``, or on the two halves [a, m] and [m, b] of a
-    bisected one, ``edges = (a, m, b)``, with one call of ``f`` on all their
-    nodes.
+def _eval_panel(f, seg: PathSegment, edges, arclength: bool, cut=None):
+    """Apply the (7,15) pair to every integrand on k panels of one segment
+    with one call of ``f`` on all their 15k nodes.
+
+    ``edges`` is one run of panel edges (a0, a1, ..., ak), the panels
+    [a_i, a_(i+1)], or a 2-D array whose rows are such runs, read row by
+    row: (a, b) is one panel, (a, m, b) the two halves of a bisected one,
+    rows of (a, m, b) the halves of several, and the doubling blocks of a
+    ray one long run.  ``cut``, given for a ray's seed blocks, maps the
+    (n, k) peaks of |weighted integrand| on each panel to the number of
+    leading panels to keep; the rest are dropped before any check, so a
+    value past the cut never raises.  ``f`` runs, and its values are
+    weighed, with numpy's floating-point warnings off: a non-finite value
+    in a kept panel raises instead.
 
     ``f`` returns one value per node or an (n, nodes) array, one row per
-    integrand.  Returns (rows, magnitude, single): row i of ``rows`` packs
-    panel i's Kronrod values (as interleaved real/imaginary floats), error
-    magnitudes and |f| sums (resabs) of all n integrands into one float
-    vector of length 4n, ``magnitude`` holds the |weighted integrand| of
-    every integrand (rows) at every node (columns), and ``single`` tells
-    whether ``f`` returned a 1-D array.  Each half's row is the row of a
-    call on that half alone, bit for bit.
+    integrand.  Returns (rows, (lo, hi), single): row i of ``rows`` packs
+    kept panel i's Kronrod values (as interleaved real/imaginary floats),
+    error magnitudes and |f| sums (resabs) of all n integrands into one
+    float vector of length 4n, [lo_i, hi_i] is that panel, and ``single``
+    tells whether ``f`` returned a 1-D array.  Each panel's row is the row
+    of a call on that panel alone, bit for bit.
     """
-    if len(edges) == 2:
-        a, b = edges
-        h = 0.5 * (b - a)
-        width = b - a
-        s = 0.5 * (a + b) + h * _NODES
-    else:
-        a, m, b = edges
-        # each half's node and scale arithmetic, as a call on it alone does it
-        h = np.array([0.5 * (m - a), 0.5 * (b - m)])
-        width = np.array([[m - a], [b - m]])
-        s = np.concatenate((0.5 * (a + m) + h[0] * _NODES, 0.5 * (m + b) + h[1] * _NODES))
-    weight = seg.velocity(s)
-    if arclength:
-        weight = np.abs(weight)
-    fz = np.asarray(f(seg.point(s)), dtype=complex)
-    single = fz.ndim < 2
-    if single:  # one value per node, or one for all of them
-        fz = fz.reshape(1, -1)
-    elif fz.ndim != 2:
-        raise DomainError("integrand must return one value per node or an "
-                          "(n, nodes) array")
-    # buf[0] holds the weighted integrand and buf[1] its deviation from the
-    # mean of each (integrand, panel) pair, so that one pass takes the
-    # |.| sums of both
-    n, panels = len(fz), len(edges) - 1
-    buf = np.empty((2, n, panels * 15), dtype=complex)
-    np.multiply(fz, weight, out=buf[0])
-    finite = np.isfinite(buf[0])
-    if not finite.all():
-        # a non-finite value poisons every sum it enters, and bisection
-        # never removes it; name the first panel that holds one
-        i = int(finite.reshape(n, panels, 15).all(axis=(0, 2)).argmin())
-        za, zb = seg.point(np.array(edges[i:i + 2])).tolist()
-        raise QuadratureError(
-            f"integrand is not finite on the path panel from {za:.6g} to {zb:.6g}",
-            value=0j, err_estimate=math.inf)
-    y = buf.reshape(2, n, panels, 15)
-    y0 = y[0]
-    # Kronrod and embedded Gauss sums in one (2, n, panels) reduction
-    kg = h * np.add.reduce(y0 * _W_KG3, axis=3)
-    np.subtract(y0, kg[0, ..., None] / width, out=y[1])
-    magnitude = np.abs(buf)
-    sums = abs(h) * np.add.reduce(_W_KRONROD * magnitude.reshape(y.shape), axis=3)
+    runs = np.asarray(edges, dtype=float)
+    if runs.ndim == 1:
+        runs = runs[None, :]
+    lo = runs[:, :-1].ravel()
+    hi = runs[:, 1:].ravel()
+    # each panel's node and scale arithmetic, as a call on it alone does it
+    h = 0.5 * (hi - lo)
+    s = ((0.5 * (lo + hi))[:, None] + h[:, None] * _NODES).ravel()
+    with np.errstate(all="ignore"):
+        weight = seg.velocity(s)
+        if arclength:
+            weight = np.abs(weight)
+        fz = np.asarray(f(seg.point(s)), dtype=complex)
+        single = fz.ndim < 2
+        if single:  # one value per node, or one for all of them
+            fz = fz.reshape(1, -1)
+        elif fz.ndim != 2:
+            raise DomainError("integrand must return one value per node or an "
+                              "(n, nodes) array")
+        # buf[0] holds the weighted integrand and buf[1] its deviation from
+        # the mean of each (integrand, panel) pair, so that one pass takes
+        # the |.| sums of both
+        n, panels = len(fz), len(lo)
+        buf = np.empty((2, n, panels * 15), dtype=complex)
+        np.multiply(fz, weight, out=buf[0])
+        if cut is not None:
+            kept = cut(np.abs(buf[0]).reshape(n, panels, 15).max(axis=2))
+            if kept < panels:
+                panels = kept
+                lo, hi, h = lo[:kept], hi[:kept], h[:kept]
+                buf = np.ascontiguousarray(buf[:, :, :15 * kept])
+        y = buf.reshape(2, n, panels, 15)
+        # Kronrod and embedded Gauss sums in one (2, n, panels) reduction
+        kg = h * np.add.reduce(y[0] * _W_KG3, axis=3)
+        np.subtract(y[0], kg[0, ..., None] / (hi - lo)[:, None], out=y[1])
+        resabs, resasc = np.abs(h) * np.add.reduce(_W_KRONROD * np.abs(y), axis=3)
+        # a non-finite value makes its panel's |f| sum non-finite: it
+        # poisons every sum it enters, and bisection never removes it
+        finite = np.isfinite(resabs).all(axis=0)
+        if not finite.all():
+            i = int(finite.argmin())  # the first panel that holds one
+            za, zb = seg.point(np.array([lo[i], hi[i]])).tolist()
+            raise QuadratureError(
+                f"integrand is not finite on the path panel from {za:.6g} to {zb:.6g}",
+                value=0j, err_estimate=math.inf)
     k_val, g_val = kg.reshape(2, -1).tolist()
-    resabs, resasc = sums.reshape(2, -1).tolist()
     err = [_panel_error(abs(k - g), asc, rab) for k, g, asc, rab
-           in zip(k_val, g_val, resasc, resabs)]
-    packed = np.concatenate((kg[0].ravel().view(float), err, resabs))
-    if panels == 1:
-        return packed[None, :], magnitude[0], single
-    # each quantity is laid out integrand by integrand, both halves side by
-    # side; a row takes one half's share of each
-    k_part, err_part, abs_part = np.split(packed, [4 * n, 6 * n])
-    rows = np.concatenate((k_part.reshape(n, 2, 2).swapaxes(0, 1).reshape(2, 2 * n),
-                           err_part.reshape(n, 2).T, abs_part.reshape(n, 2).T), axis=1)
-    return rows, magnitude[0], single
+           in zip(k_val, g_val, resasc.ravel().tolist(), resabs.ravel().tolist())]
+    # row i takes panel i's share of each quantity, laid out integrand by
+    # integrand
+    rows = np.concatenate((np.ascontiguousarray(kg[0].T).view(float),
+                           np.reshape(err, (n, panels)).T, resabs.T), axis=1)
+    return rows, (lo, hi), single
 
 
+# seed doubling blocks of a ray laid out per integrand call, and the most
+# blocks a ray may take
+_SEED_BLOCKS = 6
 _MAX_TAIL_BLOCKS = 64
 # an infinite ray tail is cut once the local integrand magnitude falls below
 # this fraction of its peak, for every row against its own peak
@@ -364,29 +375,49 @@ _TRUNCATION_DROP = 1e-18
 
 
 def _seed_panels(f, seg: PathSegment, arclength: bool):
-    """Initial evaluated panels of one segment; truncates an infinite tail.
+    """Initial evaluated panels of one segment, as ``_eval_panel`` returns
+    them; truncates an infinite tail.
 
-    Returns a list of ((seg, a, b), _eval_panel result).  A ray is laid out
-    in doubling blocks until every integrand has dropped below
-    _TRUNCATION_DROP times its own peak; each block is evaluated once and
-    becomes a panel.
+    A finite segment is one panel.  A ray is laid out in doubling blocks,
+    _SEED_BLOCKS per integrand call, and cut at the first block, second or
+    later, where every integrand has dropped below _TRUNCATION_DROP times
+    its own peak so far; that block is the last panel kept, and the blocks
+    after it in the same call are dropped unused.  The kept blocks are the
+    ones a ray evaluated block by block would keep.
     """
     if math.isfinite(seg.s1):
-        return [((seg, seg.s0, seg.s1), _eval_panel(f, seg, (seg.s0, seg.s1), arclength))]
-    panels = []
+        return _eval_panel(f, seg, (seg.s0, seg.s1), arclength)
+    parts = []
     start = seg.s0
     length = max(1.0, abs(seg.s0))
     peak = 0.0
-    for _ in range(_MAX_TAIL_BLOCKS):
-        end = start + length
-        evaluated = _eval_panel(f, seg, (start, end), arclength)
-        panels.append(((seg, start, end), evaluated))
-        block_peak = evaluated[1].max(axis=1)
-        peak = np.maximum(peak, block_peak)
-        if len(panels) >= 2 and np.all(block_peak <= _TRUNCATION_DROP * peak):
-            return panels
-        start = end
-        length *= 2.0
+    done = 0
+    found = False
+
+    def cut(block_peaks: np.ndarray) -> int:
+        nonlocal peak, found
+        running = np.maximum(peak, np.maximum.accumulate(block_peaks, axis=1))
+        below = np.all(block_peaks <= _TRUNCATION_DROP * running, axis=0)
+        if not done:
+            below[0] = False  # the first block never ends a ray
+        if below.any():
+            found = True
+            return int(below.argmax()) + 1
+        peak = running[:, -1:]
+        return len(below)
+
+    while done < _MAX_TAIL_BLOCKS:
+        edges = [start]
+        for _ in range(min(_SEED_BLOCKS, _MAX_TAIL_BLOCKS - done)):
+            start += length
+            length *= 2.0
+            edges.append(start)
+        parts.append(_eval_panel(f, seg, edges, arclength, cut))
+        if found:
+            rows, spans, single = zip(*parts)
+            return (np.concatenate(rows),
+                    tuple(np.concatenate(side) for side in zip(*spans)), single[0])
+        done += len(edges) - 1
     raise QuadratureError(
         "ray tail did not decay below the truncation threshold",
         value=0j,
@@ -410,15 +441,20 @@ def integrate_path(
     on the same points.  With ``arclength=True`` the weight is |p'(s)|,
     i.e. the integral is taken against |d zeta|.
 
-    All n integrands share one adaptive partition.  Integrand j has its own
-    Gauss-Kronrod error sum and has converged once that sum is below
-    max(abs_tol, rel_tol*|total_j|, 100*eps*sum|f_j|); the loop ends when
-    every integrand has converged, and each step bisects the panel with the
-    largest err_ij / target_j over the integrands still open, evaluating
-    its two halves with one call of ``f`` on their 30 nodes (each seed
-    panel takes a 15-node call of its own).  A ray tail is cut once every
-    integrand has dropped below 1e-18 times its own peak.  ``max_panels``
-    counts shared panels, not calls.
+    All n integrands share one adaptive partition.  Each segment is seeded
+    with one panel, or a ray with its doubling blocks, six to an integrand
+    call, up to the block where every integrand has dropped below 1e-18
+    times its own peak.  Then each sweep rebuilds every integrand's total,
+    Gauss-Kronrod error sum and sum of |f| from the live panels (no running
+    sum), and integrand j has converged once its error sum is below
+    target_j = max(abs_tol, rel_tol*|total_j|, 100*eps*sum|f_j|).  The loop
+    ends when every integrand has converged; otherwise the sweep bisects
+    every live panel i whose error misses its share of an open integrand's
+    target, err_ij > target_j / (live panels), the rule of MATLAB's
+    ``quadgk``, and evaluates all the halves on one segment with one call
+    of ``f``.  ``max_panels`` counts live panels: a sweep that would pass
+    it bisects only the panels with the largest err_ij / target_j that
+    fit.
 
     Returns ``(value, error_estimate)``: scalars for a 1-D integrand, arrays
     of length n otherwise.  Raises :class:`QuadratureError` (carrying the
@@ -430,63 +466,56 @@ def integrate_path(
     if not segments:
         raise DomainError("empty path")
 
-    seeds = [panel for seg in segments
-             for panel in _seed_panels(f, seg, arclength)]
-    _, (packed, _, single) = seeds[0]
-    n = packed.shape[1] // 4
-    # table row r is panel r's packed _eval_panel row; acc holds the running
-    # sums over the live rows in the same layout: totals, errors, resabs.
-    # A bisected panel keeps its row with the errors set to -inf, so ties
-    # in the selection go to the oldest panel, and new rows are appended.
-    where = [panel for panel, _ in seeds]
-    rows = len(where)
-    table = np.empty((max(64, 2 * rows), 4 * n))
-    table[:rows] = [packed[0] for _, (packed, _, _) in seeds]
-    acc = np.add.accumulate(table[:rows])[-1]  # summed in panel order
-    total = acc[:2 * n].view(complex)
-    err_sum = acc[2 * n:3 * n]
-    errs = table[:, 2 * n:3 * n]
-    panels = rows
-
+    seeds = [_seed_panels(f, seg, arclength) for seg in segments]
+    single = seeds[0][2]
+    # the live panels: row i of ``table`` is panel i's packed _eval_panel
+    # row, on [lo_i, hi_i] of segment owner_i (all copies, updated in place)
+    table = np.concatenate([rows for rows, _, _ in seeds])
+    lo = np.concatenate([span[0] for _, span, _ in seeds])
+    hi = np.concatenate([span[1] for _, span, _ in seeds])
+    owner = np.repeat(np.arange(len(segments)), [len(rows) for rows, _, _ in seeds])
+    n = table.shape[1] // 4
     while True:
+        sums = table.sum(axis=0)
+        total = sums[:2 * n].view(complex)
+        err_sum = sums[2 * n:3 * n]
         # the roundoff floor 100*eps*sum(|f|) is the best any amount of
         # subdivision can achieve, so treat reaching it as convergence
-        sums = acc.tolist()
-        targets = [
-            max(controls.abs_tol,
-                controls.rel_tol * abs(complex(sums[2 * j], sums[2 * j + 1])),
-                100.0 * _EPS * sums[3 * n + j])
-            for j in range(n)
-        ]
-        open_ = [j for j in range(n) if not sums[2 * n + j] <= targets[j]]
-        if not open_:
+        targets = np.maximum(
+            np.maximum(controls.abs_tol, controls.rel_tol * np.hypot(total.real, total.imag)),
+            100.0 * _EPS * sums[3 * n:])
+        converged = err_sum <= targets
+        if converged.all():
             break
-        if panels + 1 > controls.max_panels:
+        live = len(table)
+        room = controls.max_panels - live
+        if room <= 0:
             raise QuadratureError(
                 "panel budget exhausted before reaching the requested tolerance",
                 value=total[0] if single else total.copy(),
                 err_estimate=err_sum[0] if single else err_sum.copy(),
             )
-        if len(open_) == 1:
-            # one open integrand: its target is a common factor
-            i = int(errs[:rows, open_[0]].argmax())
-        else:
-            score = errs[:rows, open_] / np.array([targets[j] for j in open_])
-            i = int(score.argmax()) // len(open_)
-        seg, a, b = where[i]
-        acc -= table[i]
-        errs[i] = -math.inf
-        if rows + 2 > len(table):
-            table = np.concatenate((table, np.empty_like(table)))
-            errs = table[:, 2 * n:3 * n]
-        mid = 0.5 * (a + b)
-        halves = _eval_panel(f, seg, (a, mid, b), arclength)[0]
-        for row, (lo, hi) in zip(halves, ((a, mid), (mid, b))):
-            table[rows] = row
-            acc += row
-            where.append((seg, lo, hi))
-            rows += 1
-        panels += 1
+        # each panel's largest err_ij / target_j over the open rows j
+        score = (table[:, 2 * n:3 * n] / np.where(converged, math.inf, targets)).max(axis=1)
+        chosen = np.flatnonzero(score * live > 1.0)
+        if not chosen.size:  # the shares rounded up past the target
+            chosen = score.argmax(keepdims=True)
+        elif chosen.size > room:
+            chosen = np.argsort(-score, kind="stable")[:room]
+        # a bisected panel's row and edges become its left half's, and the
+        # right halves are appended
+        right = []
+        for k, seg in enumerate(segments):
+            pick = chosen[owner[chosen] == k] if len(segments) > 1 else chosen
+            if pick.size:
+                a, b = lo[pick], hi[pick]
+                mid = 0.5 * (a + b)
+                rows = _eval_panel(f, seg, np.stack((a, mid, b), axis=1), arclength)[0]
+                table[pick] = rows[0::2]
+                hi[pick] = mid
+                right.append((rows[1::2], mid, b, owner[pick]))
+        table, lo, hi, owner = (np.concatenate((old, *new)) for old, new
+                                in zip((table, lo, hi, owner), zip(*right)))
     if single:
         return total[0], err_sum[0]
     return total.copy(), err_sum.copy()

@@ -26,7 +26,7 @@ from mlfunc.bounds import (
 import mlfunc.bounds as bounds
 import mlfunc.contour as contour
 from mlfunc.contour import expansion_coefficient
-from mlfunc.numcore import DomainError
+from mlfunc.numcore import DomainError, recip_gamma
 from mlfunc.series import MLParams, evaluate, ml_series_deriv
 
 
@@ -405,3 +405,16 @@ def test_limit_check_errors_shrink_with_u():
                              u_grid=(2.0, 4.0, 6.0))
     errs = [pt.abs_error for pt in rep.points]
     assert errs[-1] < errs[0]
+
+
+def test_ratio_series_cut_at_the_call_keeps_every_digit():
+    # the plan is sized at z_top = 2 * 50**0.5; a call at smaller |z| cuts
+    # the table at its own largest |z|, 24 digits under that peak, and
+    # sums what the whole table sums, to rounding
+    plan = bounds._term_ratio_plan(0.5, complex(0.5), 2.0 * 50.0 ** 0.5)
+    for z_max in (0.3, 2.0, 6.0, 14.0):
+        z = z_max * np.exp(1j * np.linspace(-0.6, 0.6, 7)) * np.linspace(0.2, 1.0, 7)
+        got = bounds._series_by_ratios(0.5, complex(0.5), plan, z)
+        terms = np.cumprod(z[:, None] * plan[0], axis=1)
+        whole = complex(recip_gamma(0.5)) * (1.0 + terms.sum(axis=1))
+        assert np.all(np.abs(got - whole) <= 1e-15 * np.abs(terms).sum(axis=1))

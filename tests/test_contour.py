@@ -27,7 +27,7 @@ from mlfunc.contour import (
     remainder_bound,
 )
 from mlfunc.numcore import DomainError, QuadratureControls, QuadratureError, recip_gamma
-from mlfunc.series import MLParams, ml_series_deriv
+from mlfunc.series import MLParams, evaluate, ml_series_deriv
 
 
 def _spec(alpha, frac=0.75, eps=1.0):
@@ -215,6 +215,69 @@ def test_near_path_argument_is_rejected():
         ml_contour(MLParams(0.6, 1.0), z, spec=spec)
 
 
+_BAND = 3e-3  # the near-path band, relative to max(1, |z|)
+
+
+def _off_ray(alpha, r, offset):
+    """r along the ray at 0.75 alpha pi, moved ``offset`` * r across it."""
+    ray = cmath.exp(0.75j * alpha * math.pi)
+    return r * ray + offset * r * 1j * ray
+
+
+@pytest.mark.parametrize("alpha", [0.45, 0.6, 0.75, 0.9])
+def test_arguments_just_outside_the_band_stay_within_their_bars(alpha):
+    # 1.05 times the band from the automatic path's ray, on both sides: the
+    # path route on that path and the automatic route both lie within
+    # their bars of the extended series (an expansion-route value stands in
+    # for it where the mpmath sum takes seconds, |z|**(1/alpha) > 300)
+    p = MLParams(alpha)
+    orders = np.arange(3)
+    for r in (1.2, 1.5, 3.0, 8.0, 20.0):
+        for side in (1.0, -1.0):
+            z = _off_ray(alpha, r, side * 1.05 * _BAND)
+            assert next(admissible_specs(alpha, z)) == _spec(alpha)
+            path = ml_contour_deriv(p, z, 1.0, orders)
+            auto = evaluate(p, z, 1.0, orders)
+            for l in orders.tolist():
+                if r ** (1.0 / alpha) > 300.0:
+                    assert auto.method[l] == "asymptotic"
+                    want, want_err = auto.value[l], auto.err_estimate[l]
+                else:
+                    oracle = ml_series_deriv(p, z, 1.0, l, extended=True)
+                    want, want_err = oracle.value, oracle.err_estimate
+                    assert abs(auto.value[l] - want) <= auto.err_estimate[l] + want_err
+                assert abs(path.value[l] - want) <= path.err_estimate[l] + want_err
+
+
+def test_argument_between_the_old_bands_is_covered():
+    # 1.02e-3 |z| from the ray at 0.75 alpha pi, where the path once went:
+    # its Gauss-Kronrod bar missed the extended series by 1.40x
+    p = MLParams(0.9)
+    z = -1.57010477305077 + 2.5563216474542463j
+    res = evaluate(p, z, 1.0, 2)
+    oracle = ml_series_deriv(p, z, 1.0, 2, extended=True)
+    assert next(admissible_specs(0.9, z)) != _spec(0.9)
+    assert abs(res.value - oracle.value) <= res.err_estimate
+
+
+def test_caller_spec_inside_the_band_is_rejected():
+    p = MLParams(0.6)
+    spec = _spec(0.6)
+    z = _off_ray(0.6, 3.0, 0.95 * _BAND)
+    assert classify_region(spec, z) is RegionClass.NEAR_CONTOUR
+    assert spec not in admissible_specs(0.6, z)
+    with pytest.raises(DomainError):
+        ml_contour_deriv(p, z, 1.0, 1, spec=spec)
+    with pytest.raises(DomainError):
+        cauchy_integral(spec, p, np.array([-5.0, z]), QuadratureControls(), 1)
+    # 1e-4 from the upper ray, where the Gauss-Kronrod estimate misses
+    # the error by 6.6x once the quadrature converges
+    spec = ContourSpec(0.6, 0.45 * math.pi)
+    ray = cmath.exp(1j * spec.theta)
+    with pytest.raises(DomainError):
+        cauchy_integral(spec, p, 3.0 * ray + 1e-4j * ray, QuadratureControls(), 1)
+
+
 def test_spec_alpha_mismatch_is_rejected():
     with pytest.raises(DomainError):
         ml_contour(MLParams(0.5, 1.0), -5.0, spec=_spec(0.6))
@@ -392,7 +455,8 @@ def test_batched_cauchy_integral_near_path_column_keeps_others_accurate():
     spec = _spec(0.6)
     p = MLParams(0.6, 1.0)
     ray = cmath.exp(1j * spec.theta)
-    near = 3.0 * ray + 1e-3 * 1j * ray
+    # 1.05 times the near-path band 3e-3 * |z| out from the ray
+    near = 3.0 * ray + 1.05 * 3e-3 * 3.0 * 1j * ray
     assert classify_region(spec, near) is not RegionClass.NEAR_CONTOUR
     zs = [near, -5.0, 2.0 + 1.0j, 10.0, 0.3j]
     values, errs, panels = cauchy_integral(spec, p, np.array(zs), _QUAD, 1)

@@ -237,6 +237,122 @@ def test_bisections_evaluate_both_halves_in_one_call():
     assert set(calls[1:]) == {30}
 
 
+@pytest.mark.parametrize("arclength", [False, True])
+@pytest.mark.parametrize("rates", [[1.0], [0.5, 1.0, 3.0]], ids=["1-row", "3-row"])
+@pytest.mark.parametrize("seg, edges", [
+    (radial_ray(0.4, 1.0), [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+    (circular_arc(2.0, -2.0, 2.0), [[-2.0, -1.75, -1.5], [-0.3, 0.1, 0.5], [1.2, 1.6, 2.0]]),
+], ids=["6-seed-blocks", "3-bisections"])
+def test_k_panel_call_gives_each_panel_the_row_of_a_one_panel_call(seg, edges, rates, arclength):
+    # one integrand call on all the panels' nodes; each panel's row is the
+    # one-panel call's, bit for bit, and its edges are reported with it
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        rows = _decay_rows(z, np.array(rates))
+        return rows[0] if len(rates) == 1 else rows
+
+    rows, (lo, hi), single = _eval_panel(f, seg, edges, arclength)
+    runs = np.atleast_2d(edges)
+    want_lo, want_hi = runs[:, :-1].ravel(), runs[:, 1:].ravel()
+    assert calls == [90]
+    assert single == (len(rates) == 1)
+    assert rows.shape == (6, 4 * len(rates))
+    assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist()
+    for row, a, b in zip(rows, want_lo, want_hi):
+        one = _eval_panel(f, seg, (a, b), arclength)[0]
+        assert row.tobytes() == one[0].tobytes()
+
+
+def test_sweeps_bisect_many_panels_in_one_call_per_segment():
+    # an oscillating integrand is refined everywhere: each sweep bisects
+    # every panel of a segment with one call on all their halves, so there
+    # are far fewer calls than bisections, and no node set repeats
+    pieces = [line_segment(0.0, 1.0), line_segment(1.0, 2.0)]
+    calls = []
+
+    def f(z):
+        calls.append(tuple(z.tolist()))
+        return np.exp(40j * z)
+
+    val, _ = integrate_path(f, pieces)
+    assert val == pytest.approx((cmath.exp(80j) - 1.0) / 40j, rel=1e-12)
+    seeds, sweeps = calls[:2], calls[2:]
+    bisections = sum(len(nodes) for nodes in sweeps) // 30
+    assert [len(nodes) for nodes in seeds] == [15, 15]
+    assert all(len(nodes) % 30 == 0 for nodes in sweeps)
+    # each call holds the nodes of one segment only
+    assert all(max(x.real for x in nodes) <= 1.0 or min(x.real for x in nodes) >= 1.0
+               for nodes in sweeps)
+    assert bisections >= 6
+    assert len(sweeps) <= bisections // 2
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_seed_blocks_past_the_cut_never_raise_or_warn():
+    # exp(z - 700) overflows on the doubling blocks past 1024, which the
+    # second seed call lays out after the cut block [64, 128]; they are
+    # dropped before any check
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        return np.exp(-z) + np.exp(z - 700.0)
+
+    with np.errstate(all="warn"):
+        val, _ = integrate_path(f, [radial_ray(0.0, 1.0)])
+    assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert calls[:2] == [90, 90]  # six blocks to a seed call
+
+
+def test_non_finite_value_in_a_kept_seed_block_names_that_block():
+    # the pole sits on a node of the fourth doubling block [4, 8]
+    pole = 6.0 + 2.0 * _NODES[3]
+    with pytest.raises(QuadratureError, match=r"panel from 4\+0j to 8\+0j"):
+        integrate_path(lambda z: np.exp(-z) + 1.0 / (z - pole), [radial_ray(0.0, 1.0)])
+
+
+def test_near_path_integrand_converges_without_a_running_sum():
+    # the Cauchy kernel of order 1 at 1e-4 from the upper ray of
+    # ContourSpec(0.6, 0.45 pi): a running error sum kept the residue of
+    # its large early panel errors and exhausted 4096 panels; sums rebuilt
+    # from the live panels converge
+    theta, inv_alpha = 0.45 * math.pi, 1.0 / 0.6
+    ray = cmath.exp(1j * theta)
+    z = 3.0 * ray + 1e-4j * ray
+    calls = []
+
+    def f(zeta):
+        calls.append(zeta.size)
+        return np.exp(zeta ** inv_alpha) / (zeta - z) ** 2
+
+    val, err = integrate_path(f, [radial_ray(theta, 1.0)])
+    assert cmath.isfinite(val) and err < 1e-10
+    assert sum(calls) // 15 < 4096 and len(calls) < 100
+
+
+def test_budget_exhausted_mid_sweep_carries_every_row():
+    # the sweep after 8 panels would bisect all of them; only the two with
+    # the largest share of the target fit under max_panels = 10, and the
+    # error carries the estimate of both rows on those 10 live panels
+    nodes = []
+
+    def f(z):
+        nodes.append(z.size)
+        return np.stack((np.exp(z), np.exp(60j * z)))
+
+    with pytest.raises(QuadratureError) as info:
+        integrate_path(f, [line_segment(0.0, 1.0)], QuadratureControls(max_panels=10))
+    exact = np.array([math.e - 1.0, (cmath.exp(60j) - 1.0) / 60j])
+    value, err = info.value.value, info.value.err_estimate
+    assert np.shape(value) == np.shape(err) == (2,)
+    assert np.all(np.abs(value - exact) <= err)
+    assert abs(value[0] - exact[0]) <= 1e-13
+    assert 1 + (sum(nodes) - 15) // 30 == 10  # live panels at the raise
+
+
 def test_non_finite_value_in_the_second_half_names_that_panel():
     # the pole sits on a node of the half [0.5, 1], none of the seed's
     pole = 0.75 + 0.25 * _NODES[3]
