@@ -1,12 +1,14 @@
-"""Contour-integral representation of E_{alpha,beta} for 0 < alpha < 1, and
-the expansion at infinity it yields for 0 < alpha <= 1.
+"""Contour-integral representation of E_{alpha,beta} for 0 < alpha <= 1,
+and the expansion at infinity it yields.
 
 The integration path gamma(eps, theta) runs in from infinity along
 arg zeta = -theta, counterclockwise around the circle |zeta| = eps, and back
 out along arg zeta = +theta, with theta restricted to (alpha*pi/2, alpha*pi).
 The restriction makes exp(zeta**(1/alpha)) decay along both rays and keeps
 the path clear of the negative real axis, so every power of zeta on the path
-is the principal branch.
+is the principal branch.  At alpha = 1 the kernel is e^zeta zeta^(1-beta)
+and the path, with theta in (pi/2, pi), is Hankel's loop (the
+representation holds for 0 < alpha < 2: Podlubny, Thm 1.1).
 
 The path splits the plane into
 
@@ -53,9 +55,8 @@ the l-th derivative of the remainder by
 
 ((N)_j the rising factorial) at any z off the path, in G+ or G-
 (``remainder_bound``; ``matrixfn``'s tail bound and ``bounds``' M_hat_l take
-both).  No quadrature enters, and none of this needs alpha < 1: at
-alpha = 1 the same paths, with theta in (pi/2, pi), carry the expansion of
-E_{1,beta}.  ``_expansion_route`` is ``evaluate``'s route on it.
+both).  No quadrature enters.  ``_expansion_route`` is ``evaluate``'s
+route on it.
 
 ``ml_contour_deriv`` and ``_expansion_route`` take lambda, t and l as 1-D
 arrays, so one call serves every eigenvalue of a matrix argument.
@@ -113,8 +114,8 @@ class ContourSpec:
     eps: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError("contour representation requires 0 < alpha < 1")
+        if not (0.0 < self.alpha <= 1.0):
+            raise DomainError("contour representation requires 0 < alpha <= 1")
         lo = self.alpha * math.pi / 2.0
         hi = self.alpha * math.pi
         if not (lo < self.theta < hi):
@@ -134,8 +135,7 @@ class RegionClass(enum.Enum):
 def _path_geometry(theta, eps: float, z) -> tuple[np.ndarray, np.ndarray]:
     """Distance from z to the path gamma(eps, theta), and whether z lies in
     its G+ (|z| > eps, |arg z| < theta), elementwise over z and theta
-    broadcast together.  Only the angles enter, not alpha, so the same
-    geometry serves alpha = 1 with theta in (pi/2, pi)."""
+    broadcast together.  Only the angles enter, not alpha."""
     z = np.asarray(z, dtype=complex)
     mod = np.hypot(z.real, z.imag)  # abs() of a Python complex, to the last bit
     arg = np.abs(np.angle(z))  # the ray on z's side of the axis is the nearer one
@@ -340,7 +340,7 @@ def admissible_specs(alpha: float, z):
 
 def ml_contour(p: MLParams, z: complex,
                spec: ContourSpec | None = None) -> EvalResult:
-    """E_{alpha,beta}(z) through the path representation (alpha < 1): the
+    """E_{alpha,beta}(z) through the path representation: the
     l = 0, t = 1 case of ``ml_contour_deriv`` at DEFAULT_CONTROLS.
 
     With ``spec=None`` the path is the first of ``admissible_specs``, so the
@@ -652,6 +652,7 @@ def recip_gamma_via_contour(alpha: float, b: complex,
     reciprocal gamma flags a branch or orientation bug; the self-test
     command is built on this identity.
     """
+    require_finite("b", b)
     if theta is None:
         theta = 0.75 * alpha * math.pi
     spec = ContourSpec(alpha, theta, eps)

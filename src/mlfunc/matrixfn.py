@@ -111,6 +111,8 @@ class JordanSpec:
             if t.shape != (n, n) or ti.shape != (n, n):
                 raise DomainError(
                     f"transform must be {n}x{n} to match the blocks")
+            require_finite("transform", t)
+            require_finite("transform_inv", ti)
             resid = np.abs(t @ ti - np.eye(n)).max()
             if resid > 1e-10:
                 raise DomainError(
@@ -133,6 +135,7 @@ class JordanSpec:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("matrix must be square")
+        require_finite("a", a)
         w, v = np.linalg.eig(a)
         cond = np.linalg.cond(v)
         if not np.isfinite(cond) or cond > 1e8:
@@ -168,6 +171,7 @@ def spectral_condition(a, alpha: float) -> SpectralReport:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError("matrix must be square")
+        require_finite("a", a)
         eigs = [complex(w) for w in np.linalg.eigvals(a)]
     notes = []
     satisfied = True

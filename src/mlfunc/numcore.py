@@ -71,8 +71,10 @@ class QuadratureControls:
     """Stopping parameters for ``integrate_path``.
 
     rel_tol / abs_tol  combined target: iteration stops once the summed
-                       panel error is below max(abs_tol, rel_tol*|result|),
-                       for every integrand row against its own result.
+                       panel error is below max(abs_tol, rel_tol*|result|,
+                       100*eps*sum|f|), for every integrand row against its
+                       own result and |f| sum; the last term is the
+                       rounding floor no subdivision gets below.
     max_panels         hard cap on the number of live panels before giving
                        up; panels are shared by all rows.
     Presets: DEFAULT_CONTROLS (evaluation), bounds._CERT_QUAD (certificates,
@@ -84,13 +86,13 @@ class QuadratureControls:
     max_panels: int = 4096
 
     def __post_init__(self):
+        require_finite("rel_tol", self.rel_tol)
+        require_finite("abs_tol", self.abs_tol)
+        require_finite("max_panels", self.max_panels)
         if not (self.rel_tol > 0.0 and self.abs_tol >= 0.0):
             raise DomainError("tolerances must be positive")
         if self.max_panels < 2:
             raise DomainError("max_panels must be at least 2")
-
-
-DEFAULT_CONTROLS = QuadratureControls()
 
 
 def require_finite(name: str, value) -> None:
@@ -126,6 +128,9 @@ def require_orders(name: str, value):
     if not np.all((arr >= 0.0) & (arr == np.round(arr))):
         raise DomainError(f"argument {name} must hold nonnegative integers, got {value!r}")
     return arr.astype(int) if arr.ndim else int(arr)
+
+
+DEFAULT_CONTROLS = QuadratureControls()
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +210,8 @@ class PathSegment:
 
 
 def line_segment(z0: complex, z1: complex) -> PathSegment:
+    require_finite("z0", z0)
+    require_finite("z1", z1)
     z0 = complex(z0)
     z1 = complex(z1)
     d = z1 - z0
@@ -217,6 +224,9 @@ def line_segment(z0: complex, z1: complex) -> PathSegment:
 
 
 def circular_arc(radius: float, phi0: float, phi1: float) -> PathSegment:
+    require_finite("radius", radius)
+    require_finite("phi0", phi0)
+    require_finite("phi1", phi1)
     if radius <= 0.0:
         raise DomainError("arc radius must be positive")
     return PathSegment(
@@ -228,7 +238,12 @@ def circular_arc(radius: float, phi0: float, phi1: float) -> PathSegment:
 
 
 def radial_ray(angle: float, r0: float, r1: float = math.inf) -> PathSegment:
-    """Ray (or reversed ray) along direction exp(i*angle), parametrized by radius."""
+    """Ray (or reversed ray) along direction exp(i*angle), parametrized by
+    radius from r0 to r1; r1 = inf is an infinite ray."""
+    require_finite("angle", angle)
+    require_finite("r0", r0)
+    if not r1 > -math.inf:  # NaN or -inf
+        raise DomainError(f"argument r1 must be finite or +inf, got {r1!r}")
     direction = cmath.exp(1j * angle)
     return PathSegment(
         point=lambda s: s * direction,

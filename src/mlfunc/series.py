@@ -21,7 +21,8 @@ router deal with this:
   and bar.
 * extended mode ("compensated-series"): the same series summed in adaptive
   multi-precision sized from a cheap log-magnitude scan of the terms.  This
-  is the oracle-grade mode the tests check the other routes against.
+  is the oracle-grade mode the tests check the other routes against;
+  ``evaluate`` takes it only for a complex-step argument (below).
 * ``evaluate`` is the one place that picks the route of a value, and it
   takes one (lambda, t, l) entry or 1-D arrays of them, each entry routed
   as alone.
@@ -31,12 +32,12 @@ router deal with this:
   expansion at infinity ("asymptotic", in ``contour``), kept when its
   certified remainder and rounding bar meet the tolerance; the entries of
   an array try it in one vectorized pass.  What is left takes the contour
-  representation, which never cancels, at alpha < 1, and the extended mode
-  at alpha = 1; arguments whose imaginary part is below the other routes'
-  resolution keep the extended mode on the band.  The series entries of
-  an array share one numpy pass, and its path entries one batched path
-  integral.  E_{1,1} = exp is taken in closed form.  ``ml_eval`` is its
-  underived case at t = 1.
+  representation, which never cancels, at every alpha; arguments whose
+  imaginary part is below the other routes' resolution keep the extended
+  mode on the band.  The series entries of an array share one numpy pass,
+  and its path entries one batched path integral.  E_{1,1-m}(z) =
+  z**m exp(z), exp itself at m = 0, is taken in closed form.  ``ml_eval``
+  is its underived case at t = 1.
 
 ``ml_series_deriv`` sums the lambda-derivative series
 
@@ -49,6 +50,7 @@ points share one code path for the underived case.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -79,6 +81,7 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
+_NORMAL_MIN = sys.float_info.min
 _LN10 = math.log(10.0)
 _MAX_TERMS = 10000  # term budget of the plain double-precision pass
 # below 2**-1022 doubles lie on a fixed grid of 2**-1074, so a rounding there
@@ -130,10 +133,9 @@ class EvalResult:
     value: complex
     err_estimate: float
     # "series" | "asymptotic" (expansion at infinity; counts its terms) |
-    # "contour" (counts integrand calls: one per seed panel and one per
-    # bisection, which evaluates both halves) | "compensated-series"
-    # (extended mode: only at alpha = 1, for sub-resolution imaginary parts,
-    # or when forced)
+    # "contour" (counts integrand calls: one per seed call and one per
+    # refinement sweep of each path piece) | "compensated-series" (extended
+    # mode: only for sub-resolution imaginary parts, or when forced)
     method: str
     terms_or_panels: int
 
@@ -541,7 +543,7 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
     require_finite("lam", lam)
     require_finite("t", t)
     if t < 0.0:
-        raise DomainError("t must be nonnegative")
+        raise DomainError(f"argument t must be nonnegative, got {t!r}")
     _require_tol(tol)
     l = int(l)
     lam = complex(lam)
@@ -577,8 +579,10 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
 
     With z = lambda * t**alpha the routes are tried in this order:
 
-    1. At alpha = beta = 1 the closed form t**l exp(lambda t), which raises
-       EvaluationError only where it overflows.
+    1. At alpha = 1 and beta = 1 - m, m = 0, 1, ..., 100, the closed form
+       E_{1,1-m}(z) = z**m exp(z) (``_exp_closed_form``), which raises
+       EvaluationError only where it overflows.  At m > 0 an exp(z) below
+       the normal range passes the entry on.
     2. The plain series pass on the series band, |z| <= min(4, 200**alpha)
        at alpha < 1 and |z| <= 600 at alpha = 1, kept when its error
        estimate meets ``controls.tol`` relative to the value (the closed
@@ -591,10 +595,9 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
        without the explicit G+ term's rounding, the certified remainder
        included, meets ``controls.tol`` relative to the value (the path
        route would carry that rounding too).
-    4. At alpha = 1 the extended series, up to |z| = 600 (its largest term,
-       about e**|z|, nears the edge of the double range there; beyond, the
-       call raises EvaluationError).  At alpha < 1 the contour
-       representation (``ml_contour_deriv``), which never cancels.
+    4. The contour representation (``ml_contour_deriv``), which never
+       cancels; at alpha = 1 its path is Hankel's loop.  Its explicit G+
+       term raises EvaluationError where it leaves the double range.
 
     ``lam``, ``t`` and ``l`` may also be 1-D arrays, broadcast together.
     Each entry then takes the route its scalar call takes, and each route
@@ -612,7 +615,7 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
     require_finite("lam", lam)
     require_finite("t", t)
     if t < 0.0:
-        raise DomainError("t must be nonnegative")
+        raise DomainError(f"argument t must be nonnegative, got {t!r}")
     controls = controls or EvalControls()
     res = _series_route(p, lam, t, l, controls)
     if res is not None:
@@ -623,8 +626,6 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
     l = require_orders("l", l)
     res = _expansion_route(p, complex(lam), np.array([float(t)]), np.array([l]),
                            controls.tol)[0]
-    if res is None:
-        res = _after_expansion(p, lam, t, l)
     return res if res is not None else ml_contour_deriv(p, lam, t, l, controls.quad)
 
 
@@ -635,8 +636,71 @@ def _is_array(x) -> bool:
 
 
 def _series_band(alpha: float) -> float:
-    """The largest |z| the series route takes at ``alpha``."""
+    """The largest |z| the series route takes at ``alpha``.  An entry past
+    it, or declined on it, goes on to the expansion and the path, so the
+    edge is a cost choice; at alpha = 1 the plain pass's terms, which peak
+    near e**|z|, stay inside the double range up to |z| = 600."""
     return 600.0 if alpha == 1.0 else min(4.0, 200.0 ** alpha)
+
+
+def _exp_power(p: MLParams) -> int | None:
+    """The m with E_{alpha,beta}(z) = z**m exp(z): at alpha = 1 and
+    beta = 1 - m for an integer m >= 0 the terms at the poles of Gamma
+    vanish and the series is z**m times that of exp.  None otherwise, and
+    past m = 100, which bounds the cost of ``_leibniz_sum``."""
+    if p.alpha == 1.0 and p.beta.imag == 0.0 and -99.0 <= p.beta.real <= 1.0 \
+            and p.beta.real == math.floor(p.beta.real):
+        return int(1.0 - p.beta.real)
+    return None
+
+
+def _leibniz_sum(m: int, l: int, lam: complex, t: float) -> complex:
+    """sum_{j <= min(l, m)} C(l, j) m!/(m - j)! z**(m - j) at z = lambda t,
+    in exact rational arithmetic from lambda and t and rounded once, so its
+    cancellation near a zero costs no digits."""
+    zr, zi = Fraction(lam.real) * Fraction(t), Fraction(lam.imag) * Fraction(t)
+    top = min(l, m)
+    sr, si = Fraction(0), Fraction(0)
+    for j in range(top + 1):  # Horner from the power z**top down
+        sr, si = sr * zr - si * zi + math.comb(l, j) * math.perm(m, j), sr * zi + si * zr
+    for _ in range(m - top):
+        sr, si = sr * zr - si * zi, sr * zi + si * zr
+    return complex(float(sr), float(si))
+
+
+def _exp_closed_form(m: int, lam: complex, t: float, l) -> EvalResult | None:
+    """Step 1 of ``evaluate``: the l-th lambda-derivative of
+    E_{1,1-m}(lambda t) = (lambda t)**m exp(lambda t), by Leibniz's rule
+
+        t**l exp(z) sum_{j <= min(l, m)} C(l, j) m!/(m - j)! z**(m - j),
+
+    z = lambda t, the sum from ``_leibniz_sum``.  The bar covers the
+    rounding of the exponent and of the products, on the fixed grid below
+    the normal range too.  None where exp(z) or t**l exp(z) falls below
+    the normal range at m > 0, which loses their digits (at m = 0 the
+    value is exp itself, to its last bit)."""
+    if l < 0 or l != int(l):
+        raise DomainError("derivative order must be a nonnegative integer")
+    try:
+        e = cmath.exp(lam * t)
+        value = t ** l * e
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise EvaluationError("exp(lambda t) exceeds the double-precision range")
+    if m == 0:
+        return EvalResult(value, 4.0 * _EPS * (1.0 + abs(lam * t)) * abs(value), "series", 1)
+    if abs(e) < _NORMAL_MIN or 0.0 < abs(value) < _NORMAL_MIN:
+        return None
+    scale = abs(value)
+    try:
+        value *= _leibniz_sum(m, int(l), lam, t)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise EvaluationError("(lambda t)**m exp(lambda t) exceeds the double-precision range")
+    err = 4.0 * _EPS * (2.0 + abs(lam * t)) * abs(value) + _SUBNORMAL_FLOOR * (1.0 + scale)
+    return EvalResult(value, err, "series", min(int(l), m) + 1)
 
 
 def _series_route(p: MLParams, lam: complex, t: float, l: int,
@@ -644,18 +708,11 @@ def _series_route(p: MLParams, lam: complex, t: float, l: int,
     """Steps 1 and 2 of ``evaluate``'s route order for one validated entry:
     the result of the closed form or the series when either takes the
     entry, else None."""
-    if p.alpha == 1.0 and p.beta == 1.0:
-        if l < 0 or l != int(l):
-            raise DomainError("derivative order must be a nonnegative integer")
-        # E_{1,1}(lambda t) = exp(lambda t); its l-th lambda-derivative is
-        # t**l exp(lambda t).  The bar covers the rounding of the exponent.
-        try:
-            value = t ** l * cmath.exp(lam * t)
-        except OverflowError:
-            value = math.inf
-        if not cmath.isfinite(value):
-            raise EvaluationError("exp(lambda t) exceeds the double-precision range")
-        return EvalResult(value, 4.0 * _EPS * (1.0 + abs(lam * t)) * abs(value), "series", 1)
+    m = _exp_power(p)
+    if m is not None:
+        res = _exp_closed_form(m, lam, t, l)
+        if res is not None:
+            return res
     t_alpha = t ** p.alpha
     z_mod = abs(lam) * t_alpha
     if z_mod > _series_band(p.alpha):
@@ -677,7 +734,7 @@ def _series_many(p: MLParams, lam: np.ndarray, t: np.ndarray, l: np.ndarray,
     table is too short for, takes ``_series_route`` itself."""
     results: list[EvalResult | None] = [None] * t.size
     alpha, band, rel_tol = p.alpha, _series_band(p.alpha), controls.quad.rel_tol
-    closed_form = alpha == 1.0 and p.beta == 1.0
+    closed_form = _exp_power(p) is not None
     plain, w, t_alpha_l, scalar = [], [], [], []
     for j, (lj, tj, kj) in enumerate(zip(lam.tolist(), t.tolist(), l.tolist())):
         t_alpha = tj ** alpha
@@ -701,16 +758,6 @@ def _series_many(p: MLParams, lam: np.ndarray, t: np.ndarray, l: np.ndarray,
     for j in scalar:
         results[j] = _series_route(p, complex(lam[j]), float(t[j]), int(l[j]), controls)
     return results
-
-
-def _after_expansion(p: MLParams, lam: complex, t: float, l: int) -> EvalResult | None:
-    """Step 4 of ``evaluate`` at alpha = 1, for an entry the expansion
-    declined; None at alpha < 1, where the entry takes the path route."""
-    if p.alpha < 1.0:
-        return None
-    if abs(lam) * t > 600.0:
-        raise EvaluationError("value exceeds the double-precision range for alpha >= 1")
-    return _series_extended(p, complex(lam), t, l)
 
 
 def _evaluate_many(p: MLParams, lam, t, l, controls: EvalControls) -> EvalResult:
@@ -737,10 +784,12 @@ def _evaluate_many(p: MLParams, lam, t, l, controls: EvalControls) -> EvalResult
         from .contour import _expansion_route, ml_contour_deriv
 
         expanded = _expansion_route(p, lams[rest], ts[rest], ls[rest], controls.tol)
+        path = []
         for j, res in zip(rest, expanded):
-            results[j] = res if res is not None else \
-                _after_expansion(p, complex(lams[j]), float(ts[j]), int(ls[j]))
-        path = [j for j in rest if results[j] is None]
+            if res is None:
+                path.append(j)
+            else:
+                results[j] = res
         if path:
             batch = ml_contour_deriv(p, lams[path], ts[path], ls[path], controls.quad)
             for j, value, err in zip(path, batch.value.tolist(),

@@ -42,6 +42,13 @@ def test_spec_angle_window_is_strict():
         ContourSpec(0.6, 0.6 * math.pi / 2, 1.0)
     with pytest.raises(DomainError):
         ContourSpec(0.6, 0.6 * math.pi, 1.0)
+    # at alpha = 1 the path is Hankel's loop, theta strictly inside (pi/2, pi)
+    for frac in (0.5001, 0.75, 0.9999):
+        ContourSpec(1.0, frac * math.pi, 1.0)
+    with pytest.raises(DomainError):
+        ContourSpec(1.0, math.pi / 2, 1.0)
+    with pytest.raises(DomainError):
+        ContourSpec(1.0, math.pi, 1.0)
     with pytest.raises(DomainError):
         ContourSpec(1.2, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -145,15 +152,17 @@ def test_remainder_bound_covers_the_remainder(alpha, beta_kind, l, n, frac, phi)
 
 # ------------------------------------------------- reciprocal gamma identity
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
-@pytest.mark.parametrize("boff", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("boff", [0.0, 0.5, 0.7, 1.0, 1.7, -1.7, complex(-0.2, 0.6)])
 def test_recip_gamma_identity_grid(alpha, boff):
-    # path integral of exp(zeta^(1/a)) zeta^((1-b)/a) equals 1/Gamma(b-a);
-    # boff = 0 hits the removable case b = a where Gamma has a pole
+    # path integral of exp(zeta^(1/a)) zeta^((1-b)/a) equals 1/Gamma(b-a),
+    # to the last few ulp; boff = 0 hits the removable case b = a where
+    # Gamma has a pole.  At alpha = 1 the path is Hankel's loop and the
+    # kernel e^zeta zeta^(1-b)
     b = alpha + boff
     got = recip_gamma_via_contour(alpha, b)
     want = complex(recip_gamma(complex(b - alpha)))
-    assert abs(got - want) <= 1e-9
+    assert abs(got - want) <= 1e-15
 
 
 def test_recip_gamma_identity_negative_argument():
@@ -224,7 +233,7 @@ def _off_ray(alpha, r, offset):
     return r * ray + offset * r * 1j * ray
 
 
-@pytest.mark.parametrize("alpha", [0.45, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("alpha", [0.45, 0.6, 0.75, 0.9, 1.0])
 def test_arguments_just_outside_the_band_stay_within_their_bars(alpha):
     # 1.05 times the band from the automatic path's ray, on both sides: the
     # path route on that path and the automatic route both lie within
@@ -550,6 +559,12 @@ def test_contour_derivative_rejects_non_finite_arguments(lam, t):
     name = "t" if math.isfinite(abs(complex(lam))) else "lam"
     with pytest.raises(DomainError, match=f"argument {name} must be finite"):
         ml_contour_deriv(MLParams(0.6, 1.0), lam, t, 1)
+
+
+@pytest.mark.parametrize("b", [math.nan, complex(1.0, math.inf)])
+def test_recip_gamma_via_contour_rejects_non_finite_b(b):
+    with pytest.raises(DomainError, match="argument b must be finite"):
+        recip_gamma_via_contour(0.5, b)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)

@@ -62,6 +62,30 @@ def test_from_matrix_rejects_defective():
         JordanSpec.from_matrix(a)
 
 
+_NAN_MATRIX = np.array([[-1.0, math.nan], [0.0, -2.0]])
+_INF_MATRIX = np.array([[-1.0, 0.0], [math.inf, -2.0]])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: JordanSpec(blocks=((-1.0, 1), (-2.0, 1)), transform=_NAN_MATRIX,
+                        transform_inv=np.eye(2)), "transform"),
+    (lambda: JordanSpec(blocks=((-1.0, 1), (-2.0, 1)), transform=np.eye(2),
+                        transform_inv=_INF_MATRIX), "transform_inv"),
+    (lambda: JordanSpec.from_matrix(_NAN_MATRIX), "a"),
+    (lambda: JordanSpec.from_matrix(_INF_MATRIX), "a"),
+    (lambda: spectral_condition(_NAN_MATRIX, 0.5), "a"),
+    (lambda: spectral_condition(_INF_MATRIX, 0.5), "a"),
+    (lambda: ml_matrix(MLParams(0.5, 1.0), _NAN_MATRIX, 1.0), "a"),
+    (lambda: decay_check(0.5, _INF_MATRIX), "a"),
+], ids=["transform-nan", "transform_inv-inf", "from_matrix-nan", "from_matrix-inf",
+        "spectral-nan", "spectral-inf", "ml_matrix-nan", "decay-inf"])
+def test_matrix_inputs_reject_non_finite_entries(call, name):
+    # a NaN residual is not > 1e-10, so the inverse check alone cannot
+    # catch a NaN transform, and numpy's eig and SVD fail on a NaN or inf
+    with pytest.raises(DomainError, match=f"argument {name} must be finite"):
+        call()
+
+
 # ------------------------------------------------------------- block values
 
 def test_block_is_upper_toeplitz_of_derivatives():

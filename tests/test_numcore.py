@@ -426,6 +426,37 @@ def test_quadrature_controls_validation():
         QuadratureControls(max_panels=0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"rel_tol": math.inf}, "rel_tol"),
+    ({"rel_tol": math.nan}, "rel_tol"),
+    ({"abs_tol": math.inf}, "abs_tol"),
+    ({"abs_tol": math.nan}, "abs_tol"),
+    ({"max_panels": math.nan}, "max_panels"),
+], ids=["rel_tol-inf", "rel_tol-nan", "abs_tol-inf", "abs_tol-nan", "max_panels-nan"])
+def test_quadrature_controls_reject_non_finite_settings(kwargs, name):
+    # an infinite tolerance would stop integrate_path on its seeds, and a
+    # NaN budget is not < 2 and would never run out
+    with pytest.raises(DomainError, match=f"argument {name} must be finite"):
+        QuadratureControls(**kwargs)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: line_segment(math.nan, 1.0), "z0"),
+    (lambda: line_segment(0.0, complex(1.0, math.inf)), "z1"),
+    (lambda: circular_arc(math.nan, 0.0, 1.0), "radius"),
+    (lambda: circular_arc(1.0, math.nan, 1.0), "phi0"),
+    (lambda: circular_arc(1.0, 0.0, math.inf), "phi1"),
+    (lambda: radial_ray(math.nan, 1.0), "angle"),
+    (lambda: radial_ray(0.5, math.inf), "r0"),
+    (lambda: radial_ray(0.5, 1.0, math.nan), "r1"),
+], ids=["line-z0", "line-z1", "arc-radius", "arc-phi0", "arc-phi1", "ray-angle",
+        "ray-r0", "ray-r1"])
+def test_path_segments_reject_non_finite_arguments(call, name):
+    # the error names the argument, before any quadrature runs
+    with pytest.raises(DomainError, match=f"argument {name} must be finite"):
+        call()
+
+
 # ---------------------------------------------------------------- recip_gamma
 
 _RECIP_GAMMA_REFERENCE = {

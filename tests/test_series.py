@@ -183,6 +183,34 @@ def test_no_extended_series_below_alpha_one_on_the_band(monkeypatch):
     assert methods == {"series", "asymptotic", "contour"}
 
 
+@pytest.mark.parametrize("beta", [1.5, 0.5, -0.7, complex(0.8, 0.6), 0.0, -1.0])
+def test_alpha_one_between_series_and_expansion_needs_no_extended_series(
+        beta, monkeypatch):
+    # on the negative axis at |z| 5-30 and near 15i the plain series cancels
+    # and the expansion at infinity is not yet certified; at alpha = 1 these
+    # entries take the path, in a scalar call and in an array call, but for
+    # beta = 0, -1, where E_{1,1-m}(z) = z**m e^z and every coefficient of
+    # the expansion is 0, they take the closed form
+    route = "series" if beta in (0.0, -1.0) else "contour"
+    p = MLParams(1.0, beta)
+    entries = [(z / t, t, l) for z in (-5.0, -12.0, -30.0, 15j, -2.0 + 15j)
+               for t in (0.5, 2.0) for l in range(4)]
+    oracles = [ml_series_deriv(p, lam, t, l, extended=True) for lam, t, l in entries]
+
+    def refuse(*args):
+        raise AssertionError("extended series called")
+
+    monkeypatch.setattr(series_module, "_series_mp", refuse)
+    batch = evaluate(p, *(np.array(column) for column in zip(*entries)))
+    assert batch.method == (route,) * len(entries)
+    for j, ((lam, t, l), oracle) in enumerate(zip(entries, oracles)):
+        one = evaluate(p, lam, t, l)
+        assert one.method == route
+        for value, err in ((one.value, one.err_estimate),
+                           (batch.value[j], batch.err_estimate[j])):
+            assert abs(value - oracle.value) <= err + oracle.err_estimate
+
+
 def test_contour_dispatch_beyond_series_range():
     # E_{1/2,1}(-x) = exp(x^2) erfc(x) = erfcx(x), here far past the series
     # range, where the expansion at infinity certifies it
@@ -217,6 +245,36 @@ def test_alpha_one_beta_one_is_exp_in_closed_form():
         ml_eval(MLParams(1.0, 1.0), 1000.0)
     with pytest.raises(DomainError):
         evaluate(MLParams(1.0, 1.0), -3.0, 2.0, -1)
+
+
+@pytest.mark.parametrize("m, z", [(1, -30.0), (1, -100.0), (2, -100.0), (3, -12.0 + 5.0j)])
+def test_alpha_one_nonpositive_integer_beta_is_closed_form(m, z):
+    # E_{1,1-m}(z) = z**m e^z: exponentially small on the negative axis,
+    # where the path's absolute floor would swamp it, yet to full accuracy
+    p = MLParams(1.0, 1.0 - m)
+    want = z ** m * cmath.exp(z)
+    for res in (evaluate(p, z, 1.0, 0), evaluate(p, np.array([z, z]), 1.0, 0)):
+        assert set(np.atleast_1d(res.method)) == {"series"}
+        assert np.all(np.abs(res.value - want) <= 1e-12 * abs(want))
+        assert np.all(np.abs(res.value - want) <= res.err_estimate + 4e-16 * abs(want))
+
+
+def test_alpha_one_closed_form_derivatives_keep_digits_near_a_zero():
+    # the l = 3 derivative of z**2 e^z is (z**2 + 6z + 6) e^z, which cancels
+    # near z = -3 - sqrt(3); the sum taken exactly still meets tol
+    p = MLParams(1.0, -1.0)
+    for lam, t in ((-4.73, 1.0), (-9.46, 0.5), (-4.732 + 1e-3j, 1.0)):
+        res = evaluate(p, lam, t, 3)
+        oracle = ml_series_deriv(p, lam, t, 3, extended=True)
+        assert res.method == "series"
+        assert abs(res.value - oracle.value) <= 1e-12 * abs(oracle.value)
+        assert abs(res.value - oracle.value) <= res.err_estimate + oracle.err_estimate
+    # a zero of the sum at a rational z is exact: (1 + z) e^z at z = -1
+    res = evaluate(MLParams(1.0, 0.0), -1.0, 1.0, 1)
+    assert (res.value, res.method) == (0.0, "series")
+    assert res.err_estimate < 1e-300
+    with pytest.raises(EvaluationError):
+        evaluate(MLParams(1.0, 0.0), 1000.0, 1.0, 0)
 
 
 @given(st.floats(min_value=0.3, max_value=1.0),
@@ -468,6 +526,13 @@ def test_series_rejects_non_finite_input(call, message):
     # after all 10 000 terms of the plain pass (tol = nan)
     with pytest.raises(DomainError, match=message):
         call(MLParams(0.6, 1.0))
+
+
+@pytest.mark.parametrize("call", [evaluate, ml_series_deriv])
+def test_scalar_calls_name_a_negative_t(call):
+    # as in the array call, the message names the argument and its value
+    with pytest.raises(DomainError, match=r"argument t must be nonnegative, got -2\.0"):
+        call(MLParams(0.6, 1.0), -1.0, -2.0, 0)
 
 
 # ------------------------------------------------------------ array evaluate
