@@ -53,8 +53,8 @@ never subtract the large exponential (the remainder IS a path integral and
 is integrated directly; on the exterior side the function itself is one)
 and compare against the envelopes, producing PASS / FAIL / INCONCLUSIVE
 verdicts that account for numerical error.  Every grid point of a
-certificate, per family and derivative order, comes from one batched path
-integral.
+certificate, per family and path, all derivative orders included, comes
+from one batched path integral, and I0 and I1 from one more.
 ``lemma3_limit_check`` validates the averaged-kernel limit that motivates
 the envelopes.
 """
@@ -232,23 +232,17 @@ class KappaIntegrals:
     i1_err: float
 
 
-def _path_mass(alpha: float, theta: float, power: float) -> tuple[float, float]:
-    """Integral of |exp(zeta**(1/alpha))| |zeta|**power against |d zeta|
-    over gamma(1, theta) at ``_CERT_QUAD``, with its error estimate."""
-    spec = ContourSpec(alpha, theta)
+def kappa_integrals(alpha: float, theta: float) -> KappaIntegrals:
+    """I0 and I1 over gamma(1, theta) against |d zeta| at ``_CERT_QUAD``,
+    with their error estimates: two rows of one batched path integral."""
     inv_alpha = 1.0 / alpha
 
     def f(zeta: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(zeta ** inv_alpha)) * np.abs(zeta) ** power
+        mass = np.abs(np.exp(zeta ** inv_alpha))
+        return np.stack([mass, mass * np.abs(zeta) ** inv_alpha])
 
-    value, err, _ = integrate_gamma(spec, f, _CERT_QUAD, arclength=True)
-    return value.real, err
-
-
-def kappa_integrals(alpha: float, theta: float) -> KappaIntegrals:
-    v0, e0 = _path_mass(alpha, theta, 0.0)
-    v1, e1 = _path_mass(alpha, theta, 1.0 / alpha)
-    return KappaIntegrals(v0, v1, e0, e1)
+    value, err, _ = integrate_gamma(ContourSpec(alpha, theta), f, _CERT_QUAD, arclength=True)
+    return KappaIntegrals(value[0].real, value[1].real, err[0], err[1])
 
 
 @dataclass(frozen=True)
@@ -513,11 +507,11 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     |d^l E_{a,a}| <= M_hat_l/t^(2a) on the exterior side for t >= t0.
 
     The first two paths ``admissible_specs`` yields for the whole grid
-    clear every grid point.  Each family and order is measured at all grid
-    points by one batched path integral on the first path and cross-checked
-    by one on the second (another angle or radius, so another partition and
-    other nodes); the disagreement enters the error budget.  Both run at
-    ``_CERT_QUAD``.
+    clear every grid point.  Each family is measured at all grid points
+    and orders by one batched path integral on the first path, one row per
+    (t, l) pair, and cross-checked by one on the second (another angle or
+    radius, so another partition and other nodes); the disagreement enters
+    the error budget.  Both run at ``_CERT_QUAD``.
     The report constants include fitted log-log tail slopes per family and
     order, which should approach -alpha and -2*alpha.
     """
@@ -531,29 +525,27 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
     families = (("E1", MLParams(ctx.alpha, 1.0), consts.m_l, ctx.alpha),
                 ("EAA", MLParams(ctx.alpha, complex(ctx.alpha)), consts.m_hat_l,
                  2.0 * ctx.alpha))
-    points = []
+    # row l * n_points + i holds the l-th derivative at ts[i]
+    grid, orders = np.tile(ts, l_max + 1), np.repeat(np.arange(l_max + 1), ts.size)
     max_gap = 0.0
-    measured_by_label = {}
-    for l in range(l_max + 1):
-        columns = []
-        for fam, p, const, power in families:
-            res = ml_contour_deriv(p, ctx.lam, ts, l, _CERT_QUAD, spec=first)
-            other = ml_contour_deriv(p, ctx.lam, ts, l, _CERT_QUAD, spec=second)
-            gap = np.abs(other.value - res.value)
-            max_gap = max(max_gap, float(np.max(gap / np.maximum(np.abs(res.value), 1e-300))))
-            label = f"{fam} l={l}"
-            measured_by_label[label] = np.abs(res.value)
-            columns.append((label, const[l], power, measured_by_label[label],
-                            (res.err_estimate + gap) * err_inflate))
-        for i, t in enumerate(ts):
-            for label, const, power, measured, err in columns:
-                points.append(CertificatePoint(
-                    t=float(t),
-                    measured=float(measured[i]),
-                    allowed=constant_scale * const / t ** power,
-                    err=float(err[i]),
-                    label=label,
-                ))
+    measured, errs = {}, {}
+    for fam, p, _, _ in families:
+        res = ml_contour_deriv(p, ctx.lam, grid, orders, _CERT_QUAD, spec=first)
+        other = ml_contour_deriv(p, ctx.lam, grid, orders, _CERT_QUAD, spec=second)
+        gap = np.abs(other.value - res.value)
+        max_gap = max(max_gap, float(np.max(gap / np.maximum(np.abs(res.value), 1e-300))))
+        measured[fam] = np.abs(res.value).reshape(l_max + 1, ts.size)
+        errs[fam] = ((res.err_estimate + gap) * err_inflate).reshape(l_max + 1, ts.size)
+    # one label string per column, shared by its points
+    labels = {(fam, l): f"{fam} l={l}" for fam, _, _, _ in families for l in range(l_max + 1)}
+    points = [CertificatePoint(
+        t=float(t),
+        measured=float(measured[fam][l, i]),
+        allowed=constant_scale * const[l] / t ** power,
+        err=float(errs[fam][l, i]),
+        label=labels[fam, l],
+    ) for l in range(l_max + 1) for i, t in enumerate(ts)
+        for fam, _, const, power in families]
     constants = {
         "t0": consts.t0,
         "i0": consts.i0,
@@ -565,12 +557,13 @@ def certify_lemma4(ctx: SectorContext, l_max: int = 3, n_points: int = 24,
         constants[f"m_{l}"] = consts.m_l[l]
         constants[f"m_hat_{l}"] = consts.m_hat_l[l]
     # tail slopes from the last decade of the grid
-    for label, measured in measured_by_label.items():
-        tail = (ts >= ts[-1] / 10.0) & (measured > 0.0)
-        if np.count_nonzero(tail) >= 3:
-            slope = float(np.polyfit(np.log(ts[tail]), np.log(measured[tail]), 1)[0])
-            key = "slope_" + label.lower().replace(" ", "_").replace("=", "")
-            constants[key] = slope
+    for l in range(l_max + 1):
+        for fam, _, _, _ in families:
+            row = measured[fam][l]
+            tail = (ts >= ts[-1] / 10.0) & (row > 0.0)
+            if np.count_nonzero(tail) >= 3:
+                constants[f"slope_{fam.lower()}_l{l}"] = float(
+                    np.polyfit(np.log(ts[tail]), np.log(row[tail]), 1)[0])
     return _report("lemma4", ctx, points, constants, f"l_max={l_max}",
                    f"path cross-check: every point also on theta={second.theta}, "
                    f"eps={second.eps}")

@@ -44,16 +44,15 @@ router deal with this:
     d^l/d lambda^l E_{alpha,beta}(lambda t^alpha)
         = sum_{k>=l} k!/(k-l)! lambda^(k-l) t^(alpha k) / Gamma(alpha k + beta)
 
-with the same machinery; l = 0 delegates to ``ml_series`` so both entry
-points share one code path for the underived case.
+with the same machinery: ``evaluate`` validates its arguments once and runs
+the plain pass (``_plain_pass``) itself, and ``ml_series_deriv`` is a
+validated wrapper over that pass and the extended series.
 """
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -81,7 +80,6 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-_NORMAL_MIN = sys.float_info.min
 _LN10 = math.log(10.0)
 _MAX_TERMS = 10000  # term budget of the plain double-precision pass
 # below 2**-1022 doubles lie on a fixed grid of 2**-1074, so a rounding there
@@ -153,6 +151,9 @@ class EvalControls:
             raise DomainError("tol must lie in (0, 1)")
 
 
+_DEFAULT_CONTROLS = EvalControls()
+
+
 # --------------------------------------------------------------------------
 # plain double-precision mode
 
@@ -209,7 +210,7 @@ def _series_float(p: MLParams, t_alpha_l: float, w: complex, l: int, tol: float)
     with w = lambda * t**alpha; l = 0 reduces to the plain series in w.
     The sum stops once the term and its geometric tail bound both drop
     below max(tol * |partial sum|, 100 eps * sum |term|): the first scale
-    is the one ``_accepted_plain`` holds the bar to, and the second the
+    is the one ``_kept`` holds the bar to, and the second the
     rounding floor the error estimate already carries, so a cancelling sum
     stops there instead of running into overflow.  The estimate adds
     _SUBNORMAL_FLOOR per term for terms below the normal range, and for a
@@ -443,8 +444,8 @@ def _series_mp(p: MLParams, lam: complex, t: float, l: int):
     Working precision is sized from the scanned term profile so that the
     largest term carries ~25 guard digits past the final rounding; one
     retry widens the precision if the result turns out far smaller than
-    the a-priori floor assumed.  Needs lam != 0 and t > 0, which
-    ``ml_series_deriv`` answers in closed form before it gets here.
+    the a-priori floor assumed.  Needs lam != 0 and t > 0; its callers
+    leave those entries to ``_plain_pass``'s closed forms.
     """
     alpha, beta = p.alpha, p.beta
     k_grid, prof, pole = _term_log10_profile(p, lam, t, l)
@@ -513,40 +514,9 @@ def _series_extended(p: MLParams, lam: complex, t: float, l: int) -> EvalResult:
     return EvalResult(value, err, "compensated-series", n)
 
 
-def _accepted_plain(plain_pass: Callable[[], EvalResult],
-                    tol: float) -> EvalResult | None:
-    """Run a plain series pass and keep it only if it converges and its own
-    error estimate meets tol relative to the value, else None.
-    Cancellation leaves a near-zero value with an absolute-scale error,
-    which this rule refuses."""
-    try:
-        plain = plain_pass()
-    except SeriesConvergenceError:
-        return None
-    if math.isfinite(plain.err_estimate) and \
-            plain.err_estimate <= tol * max(abs(plain.value), 1e-290):
-        return plain
-    return None
-
-
-def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
-                    tol: float = 1e-12, extended: bool | None = None) -> EvalResult:
-    """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha).
-
-    ``extended=None`` keeps the plain pass only if its error estimate meets
-    tol relative to the value, and else sums in extended precision;
-    True/False force the mode.  l = 0 delegates to
-    ``ml_series`` at z = lambda * t**alpha (identical code path).
-    """
-    if l < 0 or l != int(l):
-        raise DomainError("derivative order must be a nonnegative integer")
-    require_finite("lam", lam)
-    require_finite("t", t)
-    if t < 0.0:
-        raise DomainError(f"argument t must be nonnegative, got {t!r}")
-    _require_tol(tol)
-    l = int(l)
-    lam = complex(lam)
+def _plain_pass(p: MLParams, lam: complex, t: float, l: int, tol: float) -> EvalResult:
+    """The plain pass on validated arguments: the one term left at t = 0 or
+    lambda = 0 in closed form, else ``_series_float`` (which may raise)."""
     if t == 0.0:
         # E(lambda * 0) is constant in lambda
         value = complex(recip_gamma(p.beta)) if l == 0 else 0j
@@ -556,19 +526,48 @@ def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
         value = (math.factorial(l) * t ** (p.alpha * l)
                  * complex(recip_gamma(p.alpha * l + p.beta)))
         return EvalResult(value, abs(value) * 4.0 * _EPS, "series", 1)
-    if extended is True:
-        return _series_extended(p, lam, t, l)
-    w = lam * t ** p.alpha
+    value, err, n = _series_float(p, t ** (p.alpha * l), lam * t ** p.alpha, l, tol)
+    return EvalResult(value, err, "series", n)
 
-    def plain_pass() -> EvalResult:
-        if l == 0:
-            return ml_series(p, w, tol)
-        value, err, n = _series_float(p, t ** (p.alpha * l), w, l, tol)
-        return EvalResult(value, err, "series", n)
 
-    if extended is False:
-        return plain_pass()
-    plain = _accepted_plain(plain_pass, tol)
+def _kept(plain: EvalResult, tol: float) -> EvalResult | None:
+    """``plain`` if its own error estimate meets tol relative to its value,
+    else None.  Cancellation leaves a near-zero value with an
+    absolute-scale error, which this rule refuses."""
+    if math.isfinite(plain.err_estimate) and \
+            plain.err_estimate <= tol * max(abs(plain.value), 1e-290):
+        return plain
+    return None
+
+
+def _accepted_plain(p: MLParams, lam: complex, t: float, l: int,
+                    tol: float) -> EvalResult | None:
+    """``_plain_pass`` if it converges and ``_kept`` keeps it, else None."""
+    try:
+        return _kept(_plain_pass(p, lam, t, l, tol), tol)
+    except SeriesConvergenceError:
+        return None
+
+
+def ml_series_deriv(p: MLParams, lam: complex, t: float, l: int,
+                    tol: float = 1e-12, extended: bool | None = None) -> EvalResult:
+    """l-th lambda-derivative of E_{alpha,beta}(lambda * t**alpha).
+
+    ``extended=None`` keeps the plain pass only if its error estimate meets
+    tol relative to the value, and else sums in extended precision;
+    True/False force the mode; at t = 0 or lambda = 0 every mode gives the
+    one term left in closed form.
+    """
+    l = require_orders("l", l)
+    require_finite("lam", lam)
+    require_finite("t", t)
+    if t < 0.0:
+        raise DomainError(f"argument t must be nonnegative, got {t!r}")
+    _require_tol(tol)
+    lam = complex(lam)
+    if extended is False or t == 0.0 or lam == 0:
+        return _plain_pass(p, lam, t, l, tol)
+    plain = None if extended else _accepted_plain(p, lam, t, l, tol)
     return plain if plain is not None else _series_extended(p, lam, t, l)
 
 
@@ -587,9 +586,9 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
        at alpha < 1 and |z| <= 600 at alpha = 1, kept when its error
        estimate meets ``controls.tol`` relative to the value (the closed
        forms at t = 0 and lambda = 0 always do).  A z whose nonzero
-       imaginary part is at most ``controls.quad.rel_tol * |z|`` keeps
-       ``ml_series_deriv``'s auto mode on the band, plain then extended:
-       the other routes lose such an imaginary part, which a complex-step
+       imaginary part is at most ``controls.quad.rel_tol * |z|`` takes the
+       extended series on the band when the plain pass is refused: the
+       other routes lose such an imaginary part, which a complex-step
        derivative needs.
     3. The expansion at infinity ("asymptotic"), kept when its error bar
        without the explicit G+ term's rounding, the certified remainder
@@ -610,22 +609,22 @@ def evaluate(p: MLParams, lam: complex | np.ndarray, t: float | np.ndarray,
     per-entry routes and work counts (a path entry counts the integrand
     calls of the batch).
     """
+    controls = controls or _DEFAULT_CONTROLS
     if _is_array(t) or _is_array(l) or _is_array(lam):
-        return _evaluate_many(p, lam, t, l, controls or EvalControls())
+        return _evaluate_many(p, lam, t, l, controls)
     require_finite("lam", lam)
     require_finite("t", t)
     if t < 0.0:
         raise DomainError(f"argument t must be nonnegative, got {t!r}")
-    controls = controls or EvalControls()
+    l = require_orders("l", l)
+    lam = complex(lam)
     res = _series_route(p, lam, t, l, controls)
     if res is not None:
         return res
     # deferred: contour builds on this module
     from .contour import _expansion_route, ml_contour_deriv
 
-    l = require_orders("l", l)
-    res = _expansion_route(p, complex(lam), np.array([float(t)]), np.array([l]),
-                           controls.tol)[0]
+    res = _expansion_route(p, lam, np.array([float(t)]), np.array([l]), controls.tol)[0]
     return res if res is not None else ml_contour_deriv(p, lam, t, l, controls.quad)
 
 
@@ -668,7 +667,7 @@ def _leibniz_sum(m: int, l: int, lam: complex, t: float) -> complex:
     return complex(float(sr), float(si))
 
 
-def _exp_closed_form(m: int, lam: complex, t: float, l) -> EvalResult | None:
+def _exp_closed_form(m: int, lam: complex, t: float, l: int) -> EvalResult | None:
     """Step 1 of ``evaluate``: the l-th lambda-derivative of
     E_{1,1-m}(lambda t) = (lambda t)**m exp(lambda t), by Leibniz's rule
 
@@ -679,8 +678,6 @@ def _exp_closed_form(m: int, lam: complex, t: float, l) -> EvalResult | None:
     the normal range too.  None where exp(z) or t**l exp(z) falls below
     the normal range at m > 0, which loses their digits (at m = 0 the
     value is exp itself, to its last bit)."""
-    if l < 0 or l != int(l):
-        raise DomainError("derivative order must be a nonnegative integer")
     try:
         e = cmath.exp(lam * t)
         value = t ** l * e
@@ -694,13 +691,13 @@ def _exp_closed_form(m: int, lam: complex, t: float, l) -> EvalResult | None:
         return None
     scale = abs(value)
     try:
-        value *= _leibniz_sum(m, int(l), lam, t)
+        value *= _leibniz_sum(m, l, lam, t)
     except OverflowError:
         value = math.inf
     if not cmath.isfinite(value):
         raise EvaluationError("(lambda t)**m exp(lambda t) exceeds the double-precision range")
     err = 4.0 * _EPS * (2.0 + abs(lam * t)) * abs(value) + _SUBNORMAL_FLOOR * (1.0 + scale)
-    return EvalResult(value, err, "series", min(int(l), m) + 1)
+    return EvalResult(value, err, "series", min(l, m) + 1)
 
 
 def _series_route(p: MLParams, lam: complex, t: float, l: int,
@@ -717,11 +714,10 @@ def _series_route(p: MLParams, lam: complex, t: float, l: int,
     z_mod = abs(lam) * t_alpha
     if z_mod > _series_band(p.alpha):
         return None
-    if 0.0 < abs(complex(lam).imag) * t_alpha <= controls.quad.rel_tol * z_mod:
-        return ml_series_deriv(p, lam, t, l, controls.tol)
-    return _accepted_plain(
-        lambda: ml_series_deriv(p, lam, t, l, controls.tol, extended=False),
-        controls.tol)
+    plain = _accepted_plain(p, lam, t, l, controls.tol)
+    if plain is None and 0.0 < abs(lam.imag) * t_alpha <= controls.quad.rel_tol * z_mod:
+        return _series_extended(p, lam, t, l)
+    return plain
 
 
 def _series_many(p: MLParams, lam: np.ndarray, t: np.ndarray, l: np.ndarray,
@@ -730,7 +726,7 @@ def _series_many(p: MLParams, lam: np.ndarray, t: np.ndarray, l: np.ndarray,
     entries that the plain pass alone decides (lambda t**alpha != 0, and no
     complex-step imaginary part) are summed by one ``_plain_many`` pass,
     from the w and t**(alpha l) the scalar call takes, and kept by
-    ``_accepted_plain``'s rule; every other in-band entry, and any the
+    ``_kept``'s rule; every other in-band entry, and any the
     table is too short for, takes ``_series_route`` itself."""
     results: list[EvalResult | None] = [None] * t.size
     alpha, band, rel_tol = p.alpha, _series_band(p.alpha), controls.quad.rel_tol
@@ -753,8 +749,7 @@ def _series_many(p: MLParams, lam: np.ndarray, t: np.ndarray, l: np.ndarray,
             if later:
                 scalar.append(j)
             else:  # a bar that is not finite, where the loop raises, is refused too
-                results[j] = _accepted_plain(lambda: EvalResult(v, e, "series", n),
-                                             controls.tol)
+                results[j] = _kept(EvalResult(v, e, "series", n), controls.tol)
     for j in scalar:
         results[j] = _series_route(p, complex(lam[j]), float(t[j]), int(l[j]), controls)
     return results

@@ -16,7 +16,6 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from mlfunc.bounds import (

@@ -303,10 +303,10 @@ def test_g_plus_exterior_context_measures_through_the_explicit_term():
     assert rep.verdict == "PASS"
 
 
-def test_exterior_certificates_make_one_batched_integral_per_family_order_path(
+def test_exterior_certificates_make_one_batched_integral_per_family_path(
         monkeypatch):
     # criterion 5's input: no scalar route, one array integral per
-    # (family, order, path) for lemma4 and one for lemma2-iii
+    # (family, path) for lemma4, all orders as rows, and one for lemma2-iii
     calls = []
     batched = contour.cauchy_integral
 
@@ -323,7 +323,7 @@ def test_exterior_certificates_make_one_batched_integral_per_family_order_path(
     ctx = sector_context(0.8, cmath.exp(0.75j * math.pi))
     rep = certify_lemma4(ctx, l_max=2, n_points=24, t_max_factor=100.0)
     assert rep.verdict == "PASS"
-    assert calls == [(24,)] * 12
+    assert calls == [(72,)] * 4
     calls.clear()
     rep = certify_lemma2_iii(ctx, n_points=40, t_max_factor=200.0)
     assert rep.verdict == "PASS"

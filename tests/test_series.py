@@ -535,6 +535,55 @@ def test_scalar_calls_name_a_negative_t(call):
         call(MLParams(0.6, 1.0), -1.0, -2.0, 0)
 
 
+@pytest.mark.parametrize("l", [-1, 1.5, math.nan, math.inf],
+                         ids=["negative", "fraction", "nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda l: evaluate(MLParams(0.6, 1.0), 1.0, 1.0, l),
+    lambda l: evaluate(MLParams(0.6, 1.0), 50.0, 1.0, l),
+    lambda l: ml_series_deriv(MLParams(0.6, 1.0), 1.0, 1.0, l),
+    lambda l: evaluate(MLParams(1.0, 1.0), 1.0, 1.0, l),
+], ids=["evaluate-band", "evaluate-past-band", "ml_series_deriv", "evaluate-alpha-one"])
+def test_scalar_calls_name_a_bad_order(call, l):
+    # as in the array call, whatever the route: once a ValueError (nan), an
+    # OverflowError (inf), or a message that read differently on the band
+    with pytest.raises(DomainError, match="argument l"):
+        call(l)
+
+
+def test_evaluate_series_step_bypasses_the_public_wrappers(monkeypatch):
+    # an in-band entry, t = 0, lambda = 0 and a complex step whose plain
+    # pass is refused: the series step runs the plain pass itself, and
+    # the complex step still reaches the extended series
+    p = MLParams(0.5, 1.0)
+    entries = [(complex(0.5, 0.3), 1.0, 1), (-1.0, 0.0, 0), (0.0, 2.0, 2),
+               (complex(-2.0, 1e-150), 1.0, 0)]
+    want = [ml_series_deriv(p, lam, t, l) for lam, t, l in entries]
+    routes = ("series", "series", "series", "compensated-series")
+    assert tuple(res.method for res in want) == routes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("public series wrapper called")
+
+    mp_calls = []
+    mp_sum = series_module._series_mp
+
+    def counted(*args):
+        mp_calls.append(args)
+        return mp_sum(*args)
+
+    monkeypatch.setattr(series_module, "ml_series_deriv", refuse)
+    monkeypatch.setattr(series_module, "ml_series", refuse)
+    monkeypatch.setattr(series_module, "_series_mp", counted)
+    for (lam, t, l), res in zip(entries, want):
+        one = evaluate(p, lam, t, l)
+        assert (one.value, one.err_estimate, one.method) == \
+            (res.value, res.err_estimate, res.method)
+    batch = evaluate(p, *(np.array(column) for column in zip(*entries)))
+    assert batch.method == routes
+    assert batch.value.tolist() == [res.value for res in want]
+    assert len(mp_calls) == 2
+
+
 # ------------------------------------------------------------ array evaluate
 
 @given(st.sampled_from([0.35, 0.5, 0.6, 0.8]),
@@ -615,7 +664,7 @@ def test_array_evaluate_splits_a_batch_no_one_path_clears(monkeypatch):
     ts = np.repeat(np.array([0.5, 1.0, 2.0]) ** (1.0 / alpha), 3)
     ls = np.tile([0, 1, 2], 3)
     assert next(admissible_specs(alpha, ts ** alpha), None) is None
-    monkeypatch.setattr(series_module, "_accepted_plain", lambda plain_pass, tol: None)
+    monkeypatch.setattr(series_module, "_kept", lambda plain, tol: None)
     res = evaluate(p, 1.0, ts, ls)
     assert res.method == ("contour",) * len(ts)
     for t, l, value, err in zip(ts, ls, res.value, res.err_estimate):
